@@ -23,7 +23,7 @@ from math import prod
 
 from . import __version__, finite
 from .deciders import is_poor, is_pure_split, pi_poor_necessary
-from .errors import BoundExceeded, ParseError
+from .errors import BoundExceeded, InternalConsistencyError, ParseError
 from .finite import (
     DEFAULT_ORDER_BOUND,
     FiniteAbelianGroup,
@@ -177,6 +177,9 @@ def cmd_oracle(args) -> int:
     except BoundExceeded as err:
         print(f"bound exceeded: {err}", file=sys.stderr)
         return 3
+    except InternalConsistencyError as err:
+        print(f"invariant violation: {err}", file=sys.stderr)
+        return 4
 
 
 def _parse_matrix(text: str) -> list[list[int]]:

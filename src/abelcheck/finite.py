@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 
 from .arith import divisors, factorize, partitions
 from .characteristics import INF, Height
-from .errors import BoundExceeded, IllDefinedHom, NotASubgroup, NotCoprime
-from .snf import integer_row_kernel, linear_system_solvable, smith_normal_form
+from .errors import BoundExceeded, IllDefinedHom, InternalConsistencyError, NotASubgroup, NotCoprime
+from .snf import integer_row_kernel, smith_normal_form
 
 DEFAULT_ORDER_BOUND = 512
 DEFAULT_HOM_SPACE_CAP = 200_000
@@ -154,8 +154,39 @@ class FiniteAbelianGroup:
             out.append(c)
         return tuple(out)
 
+    def _add_table(self) -> list[list[int]]:
+        """Addition on codes: ``_add_table()[x][y]`` is the code of x + y.
+
+        Built factor by factor: with H the sum of the factors before Z(m),
+        the code of (h, d) is code_H(h) + |H|*d, so each row of the larger
+        table is m shifted copies of a row of H's.  It has |G|^2 entries
+        and is not kept: only subgroup enumeration, which visits every
+        element for every subgroup anyway, builds it.  Work on a single
+        subgroup goes through ``_add_codes`` instead.
+        """
+        table = [[0]]
+        n = 1
+        for m in self.factors:
+            table = [[v + n * ((d + e) % m) for e in range(m) for v in row]
+                     for d in range(m) for row in table]
+            n *= m
+        return table
+
     def _add_codes(self, x: int, y: int) -> int:
-        return self.encode(self.add(self.decode(x), self.decode(y)))
+        """The code of x + y, digit by digit: (x // s) % m is the digit
+        with stride s, and carries out of it are multiples of m."""
+        out = 0
+        for m, s in zip(self.factors, self._strides):
+            out += (x // s + y // s) % m * s
+        return out
+
+    def _code_order(self, x: int) -> int:
+        """The order of the element with code x (cached per code)."""
+        orders = self._cache.setdefault("orders", {})
+        out = orders.get(x)
+        if out is None:
+            out = orders[x] = self.element_order(self.decode(x))
+        return out
 
     def _scalar_code_map(self, n: int) -> list[int]:
         key = ("smul", n)
@@ -190,10 +221,16 @@ class Subgroup:
         codes = frozenset(group.encode(group.validate_element(a)) for a in elements)
         if 0 not in codes:
             raise NotASubgroup("subgroup must contain the identity")
+        # A finite set S with 0 is a subgroup when S + t = S for every t
+        # in some T within S that generates <S>; the greedy T has at most
+        # log2|S| elements.
+        add = group._add_codes
+        span = {0}
         for x in codes:
-            for y in codes:
-                if group._add_codes(x, y) not in codes:
+            if x not in span:
+                if any(add(x, y) not in codes for y in codes):
                     raise NotASubgroup("element set is not closed under addition")
+                _adjoin(group, span, x)
         self.group = group
         self.codes = codes
         self._gens: list[Element] | None = None
@@ -245,30 +282,40 @@ class Subgroup:
         """Deterministic greedy generators (largest element order first)."""
         if self._gens is None:
             g = self.group
-            span = frozenset([0])
+            order = g._code_order
+            span = {0}
             chosen: list[int] = []
-            by_order = sorted(self.codes, key=lambda c: (-g.element_order(g.decode(c)), c))
+            by_order = sorted(self.codes, key=lambda c: (-order(c), c))
             for code in by_order:
                 if code in span:
                     continue
                 chosen.append(code)
-                span = _closure_codes(g, list(span) + [code])
+                _adjoin(g, span, code)
                 if len(span) == len(self.codes):
                     break
             self._gens = [g.decode(c) for c in chosen]
         return list(self._gens)
 
 
+def _adjoin(group: FiniteAbelianGroup, span: set[int], g: int) -> None:
+    """Grow the subgroup ``span`` to span + <g> in place: add the cosets
+    g + span, 2g + span, ... until a multiple of g is already in it.
+    Each new element costs one addition, so the work follows the size
+    of the result, not of the group."""
+    if g in span:
+        return
+    add = group._add_codes
+    base = list(span)
+    x = g
+    while x not in span:
+        span.update([add(x, h) for h in base])
+        x = add(x, g)
+
+
 def _closure_codes(group: FiniteAbelianGroup, gen_codes: list[int]) -> frozenset[int]:
     span = {0}
     for g in gen_codes:
-        if g in span:
-            continue
-        base = list(span)
-        x = g
-        while x not in span:
-            span.update(group._add_codes(x, h) for h in base)
-            x = group._add_codes(x, g)
+        _adjoin(group, span, g)
     return frozenset(span)
 
 
@@ -289,18 +336,7 @@ def _pgroup_subgroup_masks(part: FiniteAbelianGroup) -> list[int]:
     and any subgroup arises along some such chain from 0.
     """
     n = part.order
-    dec = [part.decode(x) for x in range(n)]
-    factors = part.factors
-    stride = part._strides
-    add_table: list[list[int]] = []
-    for x in range(n):
-        dx = dec[x]
-        row = []
-        for y in range(n):
-            dy = dec[y]
-            row.append(sum(((a + b) % m) * s for a, b, m, s in zip(dx, dy, factors, stride)))
-        add_table.append(row)
-
+    add_table = part._add_table()
     seen = {1}  # mask of the trivial subgroup {0}
     frontier: list[tuple[int, list[int]]] = [(1, [0])]
     out = [1]
@@ -349,29 +385,19 @@ def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list
     if not comps:
         return [Subgroup.trivial(g)]
 
-    per_comp: list[list[list[Element]]] = []
-    for _, part, _ in comps:
-        masks = _pgroup_subgroup_masks(part)
-        local = []
-        for mask in masks:
-            local.append([part.decode(i) for i in range(part.order) if mask >> i & 1])
-        per_comp.append(local)
-
-    rank = g.rank
+    # The components occupy consecutive coordinates in order, so an
+    # element's code is the sum of its component codes, each times the
+    # order of all earlier components.
+    per_comp = [[[c for c in range(part.order) if mask >> c & 1] for mask in _pgroup_subgroup_masks(part)]
+                for _, part, _ in comps]
     out: list[Subgroup] = []
     for combo in product(*per_comp):
-        full: list[list[int]] = [[0] * rank]
-        for (_, _, positions), local_elements in zip(comps, combo):
-            grown = []
-            for base in full:
-                for le in local_elements:
-                    merged = base[:]
-                    for pos, val in zip(positions, le):
-                        merged[pos] = val
-                    grown.append(merged)
-            full = grown
-        codes = frozenset(g.encode(tuple(e)) for e in full)
-        out.append(Subgroup._from_codes(g, codes))
+        codes = [0]
+        base = 1
+        for (_, part, _), members in zip(comps, combo):
+            codes = [c + base * e for e in members for c in codes]
+            base *= part.order
+        out.append(Subgroup._from_codes(g, frozenset(codes)))
     return out
 
 
@@ -413,7 +439,9 @@ def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[int], list
     relations = [row[:t] for row in integer_row_kernel(mat)]
     _, s, v = smith_normal_form(relations)
     orders = [s[i][i] for i in range(t)]
-    assert all(d > 0 for d in orders), "finite subgroup must have full relation rank"
+    if not all(d > 0 for d in orders):
+        raise InternalConsistencyError(f"finite subgroup {h!r} has relation invariants {orders}, "
+                                       "not all positive")
     return gens, orders, v
 
 
@@ -437,29 +465,47 @@ def abstract_presentation(h: Subgroup) -> tuple[FiniteAbelianGroup, list[Element
 
 
 def _extension_exists(g: FiniteAbelianGroup, gen_coords: list[Element],
-                      images: list[Element], m: FiniteAbelianGroup) -> bool:
-    """Does some hom g -> m send each generator to its image?
+                      image_sets: Iterable[list[Element]], m: FiniteAbelianGroup) -> bool:
+    """Does every assignment in ``image_sets`` extend to a hom g -> m?
 
-    One congruence system per coordinate of m, solved exactly by Smith
-    elimination over the integers.  The image of g's i-th standard
-    generator in the coordinate with modulus k must be a multiple of
-    k/gcd(factor_i, k); substituting that multiple as the unknown
-    absorbs g's cyclic relations, leaving one row per prescribed
-    generator plus one slack column per row for the modulus.
+    Each assignment gives one image in m per generator in ``gen_coords``.
+    It extends when one congruence system per coordinate of m is solvable
+    over the integers.  The image of g's i-th standard generator in a
+    coordinate with modulus k must be a multiple of k/gcd(factor_i, k);
+    substituting that multiple as the unknown absorbs g's cyclic
+    relations, leaving one row per prescribed generator plus one slack
+    column per row for the modulus.
+
+    The coefficient matrix A depends on k but not on the images, so it is
+    Smith-reduced once per distinct modulus, U*A*V = S.  An assignment
+    then extends when, in every coordinate of m, each entry of U*b (b the
+    images' values in that coordinate) is divisible by the matching
+    diagonal entry of S.  ``image_sets`` is consumed lazily and the
+    search stops at the first assignment that does not extend.
     """
     t = len(gen_coords)
-    if t == 0:
-        return True
     r = g.rank
-    for j, k in enumerate(m.factors):
+    # (coordinate of m, row of U reduced modulo d, d), for every d > 1.
+    # The k*I block puts k in A's column lattice, so every d divides k.
+    checks: list[tuple[int, list[int], int]] = []
+    for k in set(m.factors):
         scale = [k // gcd(mi, k) for mi in g.factors]
         rows = []
         for u in range(t):
             coeffs = [gen_coords[u][i] * scale[i] for i in range(r)]
             rows.append(coeffs + [k if l == u else 0 for l in range(t)])
-        rhs = [images[u][j] for u in range(t)]
-        if not linear_system_solvable(rows, rhs):
-            return False
+        u_mat, s, _ = smith_normal_form(rows)
+        for i in range(t):
+            d = s[i][i]
+            if d != 1:
+                reduced = [x % d for x in u_mat[i]]
+                checks += [(j, reduced, d) for j, mj in enumerate(m.factors) if mj == k]
+    if not checks:
+        return True  # every right-hand side is solvable, whatever the images
+    for images in image_sets:
+        for j, w, d in checks:
+            if sum(c * image[j] for c, image in zip(w, images)) % d:
+                return False
     return True
 
 
@@ -469,7 +515,7 @@ def is_direct_summand(h: Subgroup, g: FiniteAbelianGroup) -> bool:
     if h.order in (1, g.order):
         return True
     abstract, images = abstract_presentation(h)
-    return _extension_exists(g, h.generating_set(), images, abstract)
+    return _extension_exists(g, h.generating_set(), [images], abstract)
 
 
 def quotient(g: FiniteAbelianGroup, h: Subgroup) -> FiniteAbelianGroup:
@@ -482,7 +528,9 @@ def quotient(g: FiniteAbelianGroup, h: Subgroup) -> FiniteAbelianGroup:
     rows += [list(e) for e in h.generating_set()]
     _, s, _ = smith_normal_form(rows)
     diag = [s[i][i] for i in range(r)]
-    assert all(d > 0 for d in diag)
+    if not all(d > 0 for d in diag):
+        raise InternalConsistencyError(f"relation matrix of {g}/{h!r} has diagonal {diag}, "
+                                       "not all positive")
     return FiniteAbelianGroup([d for d in diag if d > 1])
 
 
@@ -532,7 +580,7 @@ def hom_extends(f: Mapping[Element, Element], h: Subgroup,
     enumeration used to cross-check this path.
     """
     gens, images = _validated_instance(f, h, g, m)
-    return _extension_exists(g, gens, images, m)
+    return _extension_exists(g, gens, [images], m)
 
 
 def hom_space_size(g: FiniteAbelianGroup, m: FiniteAbelianGroup) -> int:
@@ -581,24 +629,18 @@ def _annihilator_elements(m: FiniteAbelianGroup, s: int) -> list[Element]:
 
 
 def _all_homs_on_generators(k: Subgroup, m: FiniteAbelianGroup):
-    """Yield (gens, images) for every homomorphism k -> m.
+    """Yield, for every homomorphism k -> m, the images of
+    k.generating_set() in order.
 
     Uses the diagonalized presentation of k: choosing an annihilator
     element for each invariant factor gives each hom exactly once.
     """
     gens, orders, v = _invariant_presentation(k)
-    if not gens:
-        yield [], []
-        return
     keep = [i for i, s in enumerate(orders) if s > 1]
     choice_lists = [_annihilator_elements(m, orders[i]) for i in keep]
-    t = len(gens)
+    coeff_rows = [[v[u][i] for i in keep] for u in range(len(gens))]
     for picks in product(*choice_lists):
-        images = []
-        for u in range(t):
-            coeffs = [v[u][i] for i in keep]
-            images.append(_combo(m, coeffs, list(picks)))
-        yield gens, images
+        yield [_combo(m, coeffs, picks) for coeffs in coeff_rows]
 
 
 def sample_homomorphism(h: Subgroup, m: FiniteAbelianGroup, rng) -> dict[Element, Element]:
@@ -623,9 +665,8 @@ def is_relatively_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
                             bound: int | None = None) -> bool:
     """Whether every hom from every subgroup of n into m extends to n."""
     for k in enumerate_subgroups(n, bound):
-        for gens, images in _all_homs_on_generators(k, m):
-            if not _extension_exists(n, gens, images, m):
-                return False
+        if not _extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m):
+            return False
     return True
 
 
@@ -635,9 +676,8 @@ def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
     for k in enumerate_subgroups(n, bound):
         if not is_pure_subgroup(k, n):
             continue
-        for gens, images in _all_homs_on_generators(k, m):
-            if not _extension_exists(n, gens, images, m):
-                return False
+        if not _extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m):
+            return False
     return True
 
 

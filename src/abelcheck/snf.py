@@ -4,6 +4,13 @@ Plain Python ints throughout, so there is no overflow to report; the
 arithmetic is arbitrary precision by construction.  Matrices are lists
 of equal-length lists of ints.
 
+There is one elimination, ``_smith_form``; the public functions validate
+their input once and read their answers off its U*a*V = S.  One
+reduction serves any number of right-hand sides: a*x = b is solvable
+exactly when each entry of U*b is divisible by the matching diagonal
+entry of S (Kannan-Bachem, SIAM J. Comput. 1979; Cohen, *A Course in
+Computational Algebraic Number Theory*, section 2.4).
+
 Pivoting is fixed (smallest nonzero absolute value, row-major
 tie-break; row elimination before column elimination) so U and V are
 reproducible run to run, although only S is contractual.
@@ -87,6 +94,12 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     each diagonal entry divides the next (zeros come last).
     """
     rows, cols = _check_matrix(a)
+    return _smith_form(a, rows, cols)
+
+
+def _smith_form(a: IntMatrix, rows: int, cols: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The elimination behind every public function here; ``a`` must
+    already have passed ``_check_matrix``, which gave rows and cols."""
     s = [row[:] for row in a]
     u = identity_matrix(rows)
     v = identity_matrix(cols)
@@ -191,8 +204,8 @@ def diagonal(s: IntMatrix) -> list[int]:
 
 def integer_row_kernel(a: IntMatrix) -> list[list[int]]:
     """Basis rows for {v : v * a = 0} as an integer lattice."""
-    rows, _ = _check_matrix(a)
-    u, s, _ = smith_normal_form(a)
+    rows, cols = _check_matrix(a)
+    u, s, _ = _smith_form(a, rows, cols)
     diag = diagonal(s)
     rank = sum(1 for d in diag if d != 0)
     return [u[i][:] for i in range(rank, rows)]
@@ -201,70 +214,22 @@ def integer_row_kernel(a: IntMatrix) -> list[list[int]]:
 def linear_system_solvable(a: IntMatrix, b: list[int]) -> bool:
     """Whether a * x = b has an integer solution x.
 
-    Runs the Smith elimination on a working copy, applying the row
-    operations to b directly instead of tracking U and V (solvability
-    only needs a diagonal form, not the divisibility chain).
+    Reads the answer off one reduction U*a*V = S: with y = V^-1 * x the
+    system becomes S*y = U*b, so it is solvable exactly when every entry
+    of U*b is divisible by the matching diagonal entry of S, and zero
+    where that entry is 0 or the row lies below the diagonal.  The
+    reduction does not depend on b, so callers with many right-hand
+    sides for one matrix reduce it once with ``smith_normal_form`` and
+    test each U*b the same way.
     """
     rows, cols = _check_matrix(a)
     if len(b) != rows:
         raise ValueError("right-hand side has wrong length")
-    s = [row[:] for row in a]
-    c = list(b)
-    t = 0
-    while t < min(rows, cols):
-        best = None
-        for i in range(t, rows):
-            si = s[i]
-            for j in range(t, cols):
-                val = si[j]
-                if val and (best is None or abs(val) < best[0]):
-                    best = (abs(val), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            c[t], c[pi] = c[pi], c[t]
-        if pj != t:
-            for row in s:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            restart = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    if q:
-                        si, st = s[i], s[t]
-                        for j in range(t, cols):
-                            si[j] -= q * st[j]
-                        c[i] -= q * c[t]
-                    if s[i][t]:
-                        s[t], s[i] = s[i], s[t]
-                        c[t], c[i] = c[i], c[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    if q:
-                        for row in s:
-                            row[j] -= q * row[t]
-                    if s[t][j]:
-                        for row in s:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if not restart:
-                break
-        t += 1
+    u, s, _ = _smith_form(a, rows, cols)
     for i in range(rows):
-        d = s[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return False
-        elif c[i] % d != 0:
+        d = s[i][i] if i < cols else 0
+        c = sum(x * y for x, y in zip(u[i], b))
+        if (c % d if d else c) != 0:
             return False
     return True
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 from abelcheck import finite
 from abelcheck.cli import main
+from abelcheck.snf import smith_normal_form
 
 
 def run(capsys, *argv):
@@ -90,6 +92,24 @@ class TestOracle:
         assert any(not row["pure"] for row in rows)
         # a pure subgroup of a finite group is always a summand
         assert all(row["summand"] for row in rows if row["pure"])
+
+    def test_summand_json_is_golden(self, capsys):
+        # Pins the generators the oracle reports: a change of generating_set's
+        # greedy choice changes these bytes.
+        code, out, _ = run(capsys, "oracle", "summand", "Z2 x Z4 x Z3", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "94d0d902db59538526ee0860f1bf4de7dcd6537eab0947dd881d2847221fe4a6")
+
+    def test_invariant_violation_exit_4(self, capsys, monkeypatch):
+        def zero_diagonal(a):
+            u, s, v = smith_normal_form(a)
+            return u, [[0] * len(row) for row in s], v
+
+        monkeypatch.setattr(finite, "smith_normal_form", zero_diagonal)
+        code, _, err = run(capsys, "oracle", "summand", "Z2 x Z4", "--json")
+        assert code == 4
+        assert "invariant violation" in err
 
     def test_rel_inj(self, capsys):
         code, env, _ = run_json(capsys, "oracle", "rel-inj", "Z2", "Z4", "--json")

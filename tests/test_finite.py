@@ -3,11 +3,20 @@ from itertools import combinations
 
 import pytest
 
+from abelcheck import finite
 from abelcheck.characteristics import INF
-from abelcheck.errors import BoundExceeded, IllDefinedHom, NotASubgroup, NotCoprime
+from abelcheck.errors import (
+    BoundExceeded,
+    IllDefinedHom,
+    InternalConsistencyError,
+    NotASubgroup,
+    NotCoprime,
+)
 from abelcheck.finite import (
     FiniteAbelianGroup,
     Subgroup,
+    _all_homs_on_generators,
+    _extension_exists,
     abstract_presentation,
     element_height,
     enumerate_subgroups,
@@ -25,6 +34,7 @@ from abelcheck.finite import (
     quotient,
     sample_homomorphism,
 )
+from abelcheck.snf import smith_normal_form
 
 Z = FiniteAbelianGroup
 
@@ -66,19 +76,24 @@ def summand_by_complement_search(h, g, all_subgroups):
     return h.order == g.order
 
 
+def add_codes(g, x, y):
+    """Code of x + y through the element tuples, without the addition table."""
+    return g.encode(g.add(g.decode(x), g.decode(y)))
+
+
 def coset_order_multiset(g, h):
     """Element orders of G/H computed directly on cosets."""
     cosets = {}
     for code in range(g.order):
-        key = frozenset(g._add_codes(code, c) for c in h.codes)
+        key = frozenset(add_codes(g, code, c) for c in h.codes)
         cosets.setdefault(key, code)
     zero_coset = frozenset(h.codes)
     orders = []
     for key, rep in cosets.items():
         n = 1
         acc = rep
-        while frozenset(g._add_codes(acc, c) for c in h.codes) != zero_coset:
-            acc = g._add_codes(acc, rep)
+        while frozenset(add_codes(g, acc, c) for c in h.codes) != zero_coset:
+            acc = add_codes(g, acc, rep)
             n += 1
         orders.append(n)
     return sorted(orders)
@@ -86,6 +101,14 @@ def coset_order_multiset(g, h):
 
 def order_multiset(group):
     return sorted(group.element_order(a) for a in group.elements())
+
+
+def rel_inj_closed_form(m, n):
+    """M is N-injective iff, at every prime p of N, every cyclic p-factor
+    of M has order >= exp(N_p)."""
+    exp_n = {p: part.exponent for p, part, _ in n.primary_components()}
+    return all(q >= exp_n[p] for p, part, _ in m.primary_components() if p in exp_n
+               for q in part.factors)
 
 
 # -- groups and parsing -------------------------------------------------------
@@ -126,6 +149,34 @@ class TestGroupBasics:
         g = Z([2, 4, 3])
         for code in range(g.order):
             assert g.encode(g.decode(code)) == code
+
+    def test_code_arithmetic_matches_tuple_arithmetic(self):
+        for orders in ([2, 4, 3, 9], [8, 5], [], [2, 2, 2], [7]):
+            g = Z(orders)
+            table = g._add_table()
+            assert len(table) == g.order
+            for x in range(g.order):
+                assert len(table[x]) == g.order
+                for y in range(g.order):
+                    assert table[x][y] == g._add_codes(x, y) == add_codes(g, x, y)
+                assert g._code_order(x) == g.element_order(g.decode(x))
+
+    def test_small_subgroup_of_large_group_stays_cheap(self):
+        # Work on one subgroup must follow the subgroup, not the group:
+        # nothing here may build a |G|^2 table or a per-element array.
+        g = Z([10**5])
+        h = Subgroup.generated_by(g, [(16, 0)])
+        assert h.order == 2
+        assert Subgroup(g, [(0, 0), (16, 0)]) == h
+        assert quotient(g, h) == Z([16, 3125])
+        assert not is_direct_summand(h, g)
+        assert not hom_extends({(16, 0): (1,)}, h, g, Z([2]))
+        big = Z([2**20])
+        k = Subgroup.generated_by(big, [(2**18,)])
+        assert quotient(big, k) == Z([2**18])
+        assert k.generating_set() == [(2**18,)]
+        assert len(g._cache.get("orders", {})) <= h.order
+        assert len(big._cache.get("orders", {})) <= k.order
 
 
 class TestEnumeration:
@@ -194,6 +245,20 @@ class TestSubgroupObject:
         with pytest.raises(NotASubgroup):
             Subgroup(g, [(0,), (1,)])  # not closed
 
+    def test_constructor_accepts_exactly_the_closed_sets(self):
+        # every set with 0 in groups of order 8, against the pairwise check
+        for orders in ([8], [2, 4], [2, 2, 2]):
+            g = Z(orders)
+            for picks in range(1 << (g.order - 1)):
+                codes = [0] + [c for c in range(1, g.order) if picks >> (c - 1) & 1]
+                closed = all(add_codes(g, x, y) in codes for x in codes for y in codes)
+                elements = [g.decode(c) for c in codes]
+                if closed:
+                    assert Subgroup(g, elements).order == len(codes)
+                else:
+                    with pytest.raises(NotASubgroup):
+                        Subgroup(g, elements)
+
     def test_generated_by(self):
         g = Z([2, 4])
         h = Subgroup.generated_by(g, [(1, 1)])
@@ -253,6 +318,29 @@ class TestSummands:
             for h in enumerate_subgroups(g):
                 if is_pure_subgroup(h, g):
                     assert is_direct_summand(h, g)
+
+
+def zero_diagonal_snf(a):
+    """A Smith form whose diagonal is all zero: what a broken elimination
+    would hand back to the callers that must reject it."""
+    u, s, v = smith_normal_form(a)
+    return u, [[0] * len(row) for row in s], v
+
+
+class TestInvariantChecks:
+    def test_presentation_rejects_rank_deficient_relations(self, monkeypatch):
+        g = Z([2, 4])
+        h = Subgroup.generated_by(g, [(1, 1)])
+        monkeypatch.setattr(finite, "smith_normal_form", zero_diagonal_snf)
+        with pytest.raises(InternalConsistencyError):
+            abstract_presentation(h)
+
+    def test_quotient_rejects_zero_diagonal(self, monkeypatch):
+        g = Z([2, 4])
+        h = Subgroup.generated_by(g, [(0, 2)])
+        monkeypatch.setattr(finite, "smith_normal_form", zero_diagonal_snf)
+        with pytest.raises(InternalConsistencyError):
+            quotient(g, h)
 
 
 class TestQuotient:
@@ -320,6 +408,34 @@ class TestHomExtension:
             checked += 1
             assert hom_extends(f, h, g, m) == hom_extends_bruteforce(f, h, g, m)
 
+    def test_batched_extension_matches_single_checks(self):
+        rng = random.Random(41)
+        checked = mixed = 0
+        while checked < 150:
+            g = Z([rng.choice([2, 3, 4, 8, 9])] + ([rng.choice([2, 4])] if rng.random() < 0.7 else []))
+            m = Z([rng.choice([2, 3, 4, 9])] + ([rng.choice([2, 3])] if rng.random() < 0.5 else []))
+            if hom_space_size(g, m) > 4096:
+                continue
+            # multiples of random elements make non-pure subgroups, where
+            # some homs extend and some do not
+            h = Subgroup.generated_by(g, [g.smul(rng.choice([1, 2, 3]), g.decode(rng.randrange(g.order)))
+                                          for _ in range(rng.randint(1, 2))])
+            gens = h.generating_set()
+            homs = list(_all_homs_on_generators(h, m))
+            pool = [rng.choice(homs) for _ in range(6)]
+            verdicts = [hom_extends_bruteforce(dict(zip(gens, images)), h, g, m) for images in pool]
+            for images, verdict in zip(pool, verdicts):
+                assert _extension_exists(g, gens, [images], m) == verdict
+            for _ in range(3):
+                picked = rng.sample(range(len(pool)), rng.randint(2, len(pool)))
+                batch = [pool[i] for i in picked]
+                expected = all(verdicts[i] for i in picked)
+                assert _extension_exists(g, gens, batch, m) == expected
+                assert _extension_exists(g, gens, iter(batch), m) == expected
+                mixed += len({verdicts[i] for i in picked}) == 2
+            checked += 1
+        assert mixed >= 20
+
     def test_bruteforce_cap(self):
         g = Z([2] * 6)
         h = Subgroup.trivial(g)
@@ -372,6 +488,13 @@ class TestRelativeInjectivity:
             while p**n <= 512:
                 assert not is_relatively_injective(Z([p]), Z([p**n]))
                 n += 1
+
+    def test_closed_form_on_all_small_pairs(self):
+        groups = [grp for n in range(2, 9) for grp in isomorphism_classes_of_order(n)]
+        for m in groups:
+            for n in groups:
+                assert is_relatively_injective(m, n) == rel_inj_closed_form(m, n), (m, n)
+                assert is_relatively_pure_injective(m, n), (m, n)
 
     def test_pure_variant_examples(self):
         assert is_relatively_pure_injective(Z([2]), Z([4]))

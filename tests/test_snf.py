@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -17,6 +18,27 @@ from abelcheck.snf import (
 
 def random_matrix(rng, rows, cols, lo=-20, hi=20):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def smith_certificate(a, b):
+    """Read off the Smith form either ("solution", x) with x an integer
+    vector, or ("obstruction", y) with y a rational row vector meant to
+    have y*a integral and y*b not, which rules out every integer x.
+    The caller checks the certificate against a and b directly."""
+    u, s, v = smith_normal_form(a)
+    cols = len(a[0])
+    y = []
+    for i, row in enumerate(u):
+        d = s[i][i] if i < cols else 0
+        c = sum(x * w for x, w in zip(row, b))
+        if d and c % d:
+            return "obstruction", [Fraction(x, d) for x in row]
+        if not d and c:
+            return "obstruction", [Fraction(x, 2 * c) for x in row]
+        if i < cols:
+            y.append(c // d if d else 0)
+    y += [0] * (cols - len(y))
+    return "solution", [sum(v[j][i] * y[i] for i in range(cols)) for j in range(cols)]
 
 
 def entries_gcd(a):
@@ -147,6 +169,7 @@ class TestKernelAndSolvability:
         from itertools import product as iproduct
 
         rng = random.Random(8)
+        verdicts = {True: 0, False: 0}
         for _ in range(150):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             a = random_matrix(rng, rows, cols, -3, 3)
@@ -156,7 +179,17 @@ class TestKernelAndSolvability:
                 for x in iproduct(range(-12, 13), repeat=cols)
             )
             got = linear_system_solvable(a, b)
-            if found:
-                assert got
-            # a bounded search cannot certify unsolvability, so only the
-            # positive direction is compared
+            verdicts[got] += 1
+            kind, vec = smith_certificate(a, b)
+            if got:
+                assert kind == "solution"
+                assert [sum(a[i][j] * vec[j] for j in range(cols)) for i in range(rows)] == b
+                continue
+            # No x in the search box solves the system, and since a bounded
+            # search cannot show that no x at all does, a certificate must:
+            # y*a integral and y*b not rule out every integer x.
+            assert not found
+            assert kind == "obstruction"
+            assert all(sum(vec[i] * a[i][j] for i in range(rows)).denominator == 1 for j in range(cols))
+            assert sum(vec[i] * b[i] for i in range(rows)).denominator != 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20
