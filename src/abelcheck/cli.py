@@ -258,15 +258,11 @@ def cmd_crosscheck(args) -> int:
     for _ in range(args.count):
         group = _random_group(rng, min(bound, 64))
         count_ps += 1
-        if not finite.is_pure_split_finite(group, bound=bound):
-            witness = None
-            for sub in finite.enumerate_subgroups(group, bound=bound):
-                if finite.is_pure_subgroup(sub, group) and not finite.is_direct_summand(sub, group):
-                    witness = sub
-                    break
+        witness = finite.first_pure_non_summand(group, bound=bound)
+        if witness is not None:
             fail_ps.append({
                 "group": str(group),
-                "pure_non_summand_generators": [list(g) for g in witness.generating_set()] if witness else [],
+                "pure_non_summand_generators": [list(g) for g in witness.generating_set()],
             })
     checks.append({"name": "pure_split_finite", "instances": count_ps, "failures": len(fail_ps),
                    "counterexamples": fail_ps[:3]})

@@ -4,8 +4,12 @@ Everything here is brute force on purpose: subgroup enumeration walks
 the full lattice, purity tests the defining equation for every divisor
 of the exponent, extension problems are solved two independent ways
 (integer congruence systems via Smith normal form, and plain
-enumeration of all homomorphisms).  The point is to validate the
-symbolic deciders against facts computed with no shared cleverness.
+enumeration of all homomorphisms), and so are direct summands
+(complement search in the enumerated lattice for the pure-split sweep,
+retraction via Smith normal form for ``is_direct_summand``).  Purity is
+never used to infer that a subgroup is a summand.  The point is to
+validate the symbolic deciders against facts computed with no shared
+cleverness.
 
 Groups are direct sums of cyclic groups of prime-power order; elements
 are residue tuples matching the factor list.
@@ -189,9 +193,17 @@ class FiniteAbelianGroup:
         return out
 
     def _scalar_code_map(self, n: int) -> list[int]:
+        """Multiplication by n on codes: ``_scalar_code_map(n)[x]`` is the
+        code of n*x.  Built factor by factor like ``_add_table``: n*(h, d)
+        = (n*h, n*d mod m) has code code_H(n*h) + |H|*(n*d mod m)."""
         key = ("smul", n)
         if key not in self._cache:
-            self._cache[key] = [self.encode(self.smul(n, self.decode(x))) for x in range(self.order)]
+            table = [0]
+            size = 1
+            for m in self.factors:
+                table = [v + size * (n * d % m) for d in range(m) for v in table]
+                size *= m
+            self._cache[key] = table
         return self._cache[key]
 
     def _multiples_set(self, n: int) -> frozenset[int]:
@@ -328,6 +340,11 @@ def _require_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> None:
 # Subgroup enumeration.
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
 def _pgroup_subgroup_masks(part: FiniteAbelianGroup) -> list[int]:
     """All subgroups of a p-group as element bitmasks, deterministic order.
 
@@ -364,7 +381,7 @@ def _pgroup_subgroup_masks(part: FiniteAbelianGroup) -> list[int]:
                 if grown not in seen:
                     seen.add(grown)
                     out.append(grown)
-                    nxt.append((grown, [e for e in range(n) if (grown >> e) & 1]))
+                    nxt.append((grown, _bits(grown)))
         frontier = nxt
     out.sort(key=lambda m: (m.bit_count(), m))
     return out
@@ -388,7 +405,7 @@ def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list
     # The components occupy consecutive coordinates in order, so an
     # element's code is the sum of its component codes, each times the
     # order of all earlier components.
-    per_comp = [[[c for c in range(part.order) if mask >> c & 1] for mask in _pgroup_subgroup_masks(part)]
+    per_comp = [[_bits(mask) for mask in _pgroup_subgroup_masks(part)]
                 for _, part, _ in comps]
     out: list[Subgroup] = []
     for combo in product(*per_comp):
@@ -681,13 +698,53 @@ def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
     return True
 
 
+def _masks_by_order(subgroups: Iterable[Subgroup]) -> tuple[list[int], dict[int, list[int]]]:
+    """Each subgroup's element bitmask (bit c set for code c), in order,
+    and the same masks bucketed by subgroup order."""
+    masks: list[int] = []
+    by_order: dict[int, list[int]] = {}
+    for k in subgroups:
+        mask = sum(1 << c for c in k.codes)
+        masks.append(mask)
+        by_order.setdefault(k.order, []).append(mask)
+    return masks, by_order
+
+
+def _has_complement(mask: int, candidates: Iterable[int]) -> bool:
+    """Whether some subgroup mask among ``candidates`` meets ``mask`` in 0
+    alone (bit 0 is the identity's).  With the candidates the subgroups
+    of order |G|/|H|, that is H + K = G with H and K meeting in 0: H is a
+    direct summand with complement K."""
+    return any(mask & k == 1 for k in candidates)
+
+
+def first_pure_non_summand(n: FiniteAbelianGroup, bound: int | None = None) -> Subgroup | None:
+    """The first pure subgroup of n, in enumeration order, that is not a
+    direct summand; None when there is none.
+
+    Summands are decided by complement search over the lattice just
+    enumerated, not by ``is_direct_summand`` (retraction via SNF), so
+    the two deciders stay independent checks of each other.  Purity is
+    only ever a filter here, never a reason to accept a summand.
+    """
+    subgroups = enumerate_subgroups(n, bound)
+    masks, by_order = _masks_by_order(subgroups)
+    for k, mask in zip(subgroups, masks):
+        if is_pure_subgroup(k, n) and not _has_complement(mask, by_order.get(n.order // k.order, ())):
+            return k
+    return None
+
+
 def is_pure_split_finite(n: FiniteAbelianGroup, bound: int | None = None) -> bool:
     """Every pure subgroup is a direct summand (true for all finite groups;
-    kept as an executable sanity oracle rather than an assumption)."""
-    for k in enumerate_subgroups(n, bound):
-        if is_pure_subgroup(k, n) and not is_direct_summand(k, n):
-            return False
-    return True
+    kept as an executable sanity oracle rather than an assumption).
+
+    Each pure subgroup H passes when some enumerated subgroup K has
+    |H|*|K| = |G| and meets H in 0 alone (see ``first_pure_non_summand``);
+    no Smith elimination runs, and purity never stands in for the
+    summand test.
+    """
+    return first_pure_non_summand(n, bound) is None
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +824,6 @@ __all__ = [
     "abstract_presentation", "hom_extends", "hom_extends_bruteforce",
     "hom_space_size", "sample_homomorphism",
     "is_relatively_injective", "is_relatively_pure_injective",
-    "is_pure_split_finite", "element_height", "localization_hom_image",
+    "first_pure_non_summand", "is_pure_split_finite", "element_height", "localization_hom_image",
     "isomorphism_classes_of_order", "isomorphism_classes_upto",
 ]

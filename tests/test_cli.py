@@ -170,7 +170,7 @@ class TestCrosscheck:
         assert out1 == out2
 
     def test_corrupted_oracle_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(finite, "is_direct_summand", lambda *a, **k: False)
+        monkeypatch.setattr(finite, "_has_complement", lambda *a, **k: False)
         code, out, err = run(capsys, "crosscheck", "--seed", "1", "--count", "3", "--json")
         assert code == 4
         assert "counterexamples" in err

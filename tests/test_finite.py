@@ -1,9 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, count
+from math import gcd
 
 import pytest
 
 from abelcheck import finite
+from abelcheck.arith import divisors
 from abelcheck.characteristics import INF
 from abelcheck.errors import (
     BoundExceeded,
@@ -20,6 +22,7 @@ from abelcheck.finite import (
     abstract_presentation,
     element_height,
     enumerate_subgroups,
+    first_pure_non_summand,
     hom_extends,
     hom_extends_bruteforce,
     hom_space_size,
@@ -66,14 +69,6 @@ def pure_by_definition(h, g):
         if n_h != (h_els & n_g):
             return False
     return True
-
-
-def summand_by_complement_search(h, g, all_subgroups):
-    """H is a summand iff some subgroup K has H∩K=0 and |H||K|=|G|."""
-    for k in all_subgroups:
-        if h.order * k.order == g.order and len(h.codes & k.codes) == 1:
-            return True
-    return h.order == g.order
 
 
 def add_codes(g, x, y):
@@ -177,6 +172,13 @@ class TestGroupBasics:
         assert k.generating_set() == [(2**18,)]
         assert len(g._cache.get("orders", {})) <= h.order
         assert len(big._cache.get("orders", {})) <= k.order
+
+    def test_scalar_code_map_matches_tuple_arithmetic(self):
+        for g in isomorphism_classes_upto(64):
+            coprime = next(q for q in count(g.exponent + 2) if gcd(q, g.order) == 1)
+            for n in divisors(g.exponent) + [g.exponent + 1, coprime]:
+                expected = [g.encode(g.smul(n, g.decode(x))) for x in range(g.order)]
+                assert g._scalar_code_map(n) == expected, (g, n)
 
 
 class TestEnumeration:
@@ -305,11 +307,18 @@ class TestSummands:
         assert is_direct_summand(Subgroup.whole(g), g)
 
     def test_matches_complement_search(self):
-        for orders in ([2, 4], [8], [4, 4], [2, 2, 2], [2, 2, 3], [18]):
-            g = Z(orders)
+        # The two summand deciders, each the other's independent check:
+        # complement search in the enumerated lattice (the pure-split
+        # sweep's) and retraction via SNF (is_direct_summand).
+        verdicts = {True: 0, False: 0}
+        for g in isomorphism_classes_upto(32):
             subs = enumerate_subgroups(g)
-            for h in subs:
-                assert is_direct_summand(h, g) == summand_by_complement_search(h, g, subs)
+            masks, by_order = finite._masks_by_order(subs)
+            for h, mask in zip(subs, masks):
+                by_complement = finite._has_complement(mask, by_order.get(g.order // h.order, ()))
+                assert by_complement == is_direct_summand(h, g), (g, h)
+                verdicts[by_complement] += 1
+        assert verdicts[True] > 0 and verdicts[False] >= 50, f"summand / non-summand counts {verdicts}"
 
     def test_pure_and_bounded_implies_summand(self):
         # finite shadow of the splitting of bounded pure subgroups
@@ -530,6 +539,25 @@ class TestPureSplitFinite:
     def test_all_orders_up_to_36(self):
         for g in isomorphism_classes_upto(36):
             assert is_pure_split_finite(g), g
+
+    def test_decided_without_smith_elimination(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the pure-split sweep must decide summands by complement search")
+
+        for name in ("smith_normal_form", "integer_row_kernel", "_extension_exists"):
+            monkeypatch.setattr(finite, name, forbidden)
+        assert is_pure_split_finite(Z([2, 2, 2, 2, 2, 4]))
+        assert is_pure_split_finite(Z([8, 9]))
+
+    def test_witness_is_first_pure_subgroup_without_complement(self, monkeypatch):
+        g = Z([2, 4])
+        assert first_pure_non_summand(g) is None
+        # Deny a complement to every nontrivial subgroup: the witness is
+        # then the first pure nontrivial subgroup in enumeration order.
+        monkeypatch.setattr(finite, "_has_complement", lambda mask, candidates: mask == 1)
+        expected = next(h for h in enumerate_subgroups(g) if h.order > 1 and is_pure_subgroup(h, g))
+        assert first_pure_non_summand(g) == expected
+        assert not is_pure_split_finite(g)
 
 
 class TestHeights:
