@@ -11,6 +11,13 @@ never used to infer that a subgroup is a summand.  The point is to
 validate the symbolic deciders against facts computed with no shared
 cleverness.
 
+Subgroups of a p-group are enumerated by an index-p walk: each subgroup
+H found so far is grown by every element g with p*g in H, which adds the
+p cosets H, g+H, ..., (p-1)g+H.  Its completeness rests only on the
+elementary fact that every nontrivial subgroup of a finite p-group has
+a subgroup of index p; the walk still adds up the elements themselves,
+and none of the pure or summand theorems the oracle checks is used.
+
 Groups are direct sums of cyclic groups of prime-power order; elements
 are residue tuples matching the factor list.
 """
@@ -158,23 +165,23 @@ class FiniteAbelianGroup:
             out.append(c)
         return tuple(out)
 
-    def _add_table(self) -> list[list[int]]:
-        """Addition on codes: ``_add_table()[x][y]`` is the code of x + y.
+    def _add_row(self, x: int) -> list[int]:
+        """Translation by x on codes: ``_add_row(x)[y]`` is the code of x + y.
 
-        Built factor by factor: with H the sum of the factors before Z(m),
-        the code of (h, d) is code_H(h) + |H|*d, so each row of the larger
-        table is m shifted copies of a row of H's.  It has |G|^2 entries
-        and is not kept: only subgroup enumeration, which visits every
-        element for every subgroup anyway, builds it.  Work on a single
-        subgroup goes through ``_add_codes`` instead.
+        Built factor by factor: with H the sum of the factors before Z(m)
+        and d the digit of x in Z(m), the code of (h, e) + x is
+        code_H(h + x_H) + |H|*((d + e) mod m), so the row is m shifted
+        copies of H's row.  It has |G| entries and is not kept: subgroup
+        enumeration builds the row of each element it adjoins, and work
+        on a single subgroup goes through ``_add_codes`` instead.
         """
-        table = [[0]]
-        n = 1
+        row = [0]
+        size = 1
         for m in self.factors:
-            table = [[v + n * ((d + e) % m) for e in range(m) for v in row]
-                     for d in range(m) for row in table]
-            n *= m
-        return table
+            x, d = divmod(x, m)
+            row = [v + size * e for e in [*range(d, m), *range(d)] for v in row]
+            size *= m
+        return row
 
     def _add_codes(self, x: int, y: int) -> int:
         """The code of x + y, digit by digit: (x // s) % m is the digit
@@ -194,7 +201,7 @@ class FiniteAbelianGroup:
 
     def _scalar_code_map(self, n: int) -> list[int]:
         """Multiplication by n on codes: ``_scalar_code_map(n)[x]`` is the
-        code of n*x.  Built factor by factor like ``_add_table``: n*(h, d)
+        code of n*x.  Built factor by factor like ``_add_row``: n*(h, d)
         = (n*h, n*d mod m) has code code_H(n*h) + |H|*(n*d mod m)."""
         key = ("smul", n)
         if key not in self._cache:
@@ -225,9 +232,13 @@ class FiniteAbelianGroup:
 
 
 class Subgroup:
-    """Subgroup of a FiniteAbelianGroup, stored as its full element set."""
+    """Subgroup of a FiniteAbelianGroup, stored as its full element set.
 
-    __slots__ = ("group", "codes", "_gens")
+    Subgroups from ``enumerate_subgroups`` also carry ``_mask``, the
+    element bitmask (bit c set for code c) the enumeration built.
+    """
+
+    __slots__ = ("group", "codes", "_gens", "_mask")
 
     def __init__(self, group: FiniteAbelianGroup, elements: Iterable[Element]):
         codes = frozenset(group.encode(group.validate_element(a)) for a in elements)
@@ -246,13 +257,16 @@ class Subgroup:
         self.group = group
         self.codes = codes
         self._gens: list[Element] | None = None
+        self._mask: int | None = None
 
     @classmethod
-    def _from_codes(cls, group: FiniteAbelianGroup, codes: frozenset[int]) -> "Subgroup":
+    def _from_codes(cls, group: FiniteAbelianGroup, codes: frozenset[int],
+                    mask: int | None = None) -> "Subgroup":
         obj = object.__new__(cls)
         obj.group = group
         obj.codes = codes
         obj._gens = None
+        obj._mask = mask
         return obj
 
     @classmethod
@@ -340,81 +354,92 @@ def _require_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> None:
 # Subgroup enumeration.
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[tuple[int, list[int]]]:
+    """All subgroups of a p-group, each as (element bitmask, its codes),
+    sorted by (order, mask).
 
-
-def _pgroup_subgroup_masks(part: FiniteAbelianGroup) -> list[int]:
-    """All subgroups of a p-group as element bitmasks, deterministic order.
-
-    Breadth-first closure over one generator per coset: adding g to a
-    subgroup H closes up to the union of the cosets H, g+H, 2g+H, ...,
-    and any subgroup arises along some such chain from 0.
+    Level by level in the order: every nontrivial subgroup K of a finite
+    p-group has a subgroup H of index p, and then K = H + <g> for any g
+    in K outside H.  So each subgroup H of order p^k is grown only by
+    the elements g with p*g in H (the fibres of multiplication by p over
+    H), and H + <g> is the union of the p cosets H, g+H, ..., (p-1)g+H.
+    Every element of (H + <g>) - H gives the same subgroup, so all of it
+    is marked covered at once.  The addition row of g is built only when
+    g is adjoined, never the |G|^2 table.
     """
     n = part.order
-    add_table = part._add_table()
-    seen = {1}  # mask of the trivial subgroup {0}
-    frontier: list[tuple[int, list[int]]] = [(1, [0])]
-    out = [1]
+    fibres: list[list[int]] = [[] for _ in range(n)]
+    for x, px in enumerate(part._scalar_code_map(p)):
+        fibres[px].append(x)
+    rows: list[list[int] | None] = [None] * n
+    trivial = (1, [0])  # {0}: bit 0 only
+    found = [trivial]
+    seen = {1}
+    frontier = [trivial]
     while frontier:
         nxt: list[tuple[int, list[int]]] = []
         for sub_mask, members in frontier:
             covered = bytearray(n)
             for h in members:
                 covered[h] = 1
-            for g in range(1, n):
-                if covered[g]:
-                    continue
-                row_g = add_table[g]
-                for h in members:
-                    covered[row_g[h]] = 1
-                grown = sub_mask
-                x = g
-                while not (grown >> x) & 1:
-                    row_x = add_table[x]
-                    coset = 0
-                    for h in members:
-                        coset |= 1 << row_x[h]
-                    grown |= coset
-                    x = row_x[g]
-                if grown not in seen:
-                    seen.add(grown)
-                    out.append(grown)
-                    nxt.append((grown, _bits(grown)))
+            for h in members:
+                for g in fibres[h]:
+                    if covered[g]:
+                        continue
+                    row = rows[g]
+                    if row is None:
+                        row = rows[g] = part._add_row(g)
+                    coset = [row[x] for x in members]
+                    new = coset
+                    for _ in range(p - 2):
+                        coset = [row[x] for x in coset]
+                        new = new + coset
+                    grown = sub_mask
+                    for x in new:
+                        covered[x] = 1
+                        grown |= 1 << x
+                    if grown not in seen:
+                        seen.add(grown)
+                        nxt.append((grown, members + new))
+        found += nxt
         frontier = nxt
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    found.sort(key=lambda sub: (sub[0].bit_count(), sub[0]))
+    return found
 
 
 def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list[Subgroup]:
     """Complete, duplicate-free subgroup list (including 0 and g).
 
     Subgroups of a finite abelian group split over the primary
-    components, so each Sylow part is enumerated on its own (closure
-    search over generator candidates with canonical dedup) and the
-    results are recombined.
+    components, so each Sylow part is enumerated on its own and the
+    results are recombined.  A p-group's lattice is walked upwards one
+    index-p step at a time (see ``_pgroup_subgroups``): every subgroup
+    is reached by adjoining single elements and closing up, with no
+    theorem about purity or summands assumed, so the list stays a brute
+    force ground truth.  Within a p-group the order is by (order, element
+    bitmask); each subgroup carries its bitmask over the codes of g.
     """
     limit = DEFAULT_ORDER_BOUND if bound is None else bound
     if g.order > limit:
         raise BoundExceeded(f"|G| = {g.order} exceeds the bound {limit}")
     comps = g.primary_components()
     if not comps:
-        return [Subgroup.trivial(g)]
+        return [Subgroup._from_codes(g, frozenset([0]), 1)]
 
     # The components occupy consecutive coordinates in order, so an
     # element's code is the sum of its component codes, each times the
-    # order of all earlier components.
-    per_comp = [[_bits(mask) for mask in _pgroup_subgroup_masks(part)]
-                for _, part, _ in comps]
+    # order of all earlier components; a mask is the union of the earlier
+    # components' mask shifted by each such offset.
+    per_comp = [_pgroup_subgroups(part, p) for p, part, _ in comps]
     out: list[Subgroup] = []
     for combo in product(*per_comp):
-        codes = [0]
-        base = 1
-        for (_, part, _), members in zip(comps, combo):
+        mask, codes = combo[0]
+        base = comps[0][1].order
+        for (_, part, _), (_, members) in zip(comps[1:], combo[1:]):
+            mask = sum(mask << base * e for e in members)
             codes = [c + base * e for e in members for c in codes]
             base *= part.order
-        out.append(Subgroup._from_codes(g, frozenset(codes)))
+        out.append(Subgroup._from_codes(g, frozenset(codes), mask))
     return out
 
 
@@ -699,12 +724,12 @@ def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
 
 
 def _masks_by_order(subgroups: Iterable[Subgroup]) -> tuple[list[int], dict[int, list[int]]]:
-    """Each subgroup's element bitmask (bit c set for code c), in order,
-    and the same masks bucketed by subgroup order."""
+    """Each enumerated subgroup's element bitmask, in order, and the same
+    masks bucketed by subgroup order."""
     masks: list[int] = []
     by_order: dict[int, list[int]] = {}
     for k in subgroups:
-        mask = sum(1 << c for c in k.codes)
+        mask = k._mask
         masks.append(mask)
         by_order.setdefault(k.order, []).append(mask)
     return masks, by_order

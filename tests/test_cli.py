@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from abelcheck import finite
 from abelcheck.cli import main
 from abelcheck.snf import smith_normal_form
@@ -100,6 +102,22 @@ class TestOracle:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "94d0d902db59538526ee0860f1bf4de7dcd6537eab0947dd881d2847221fe4a6")
+
+    @pytest.mark.parametrize("group,digest", [
+        ("Z125", "05942cf1de7907a5930391724bcff193d51dd4e50681778f1446cd4e7dee6f14"),
+        ("Z243", "557f1a8ba9e5b294fcf9502970decfda271e99dabc716c98fa14e7dc7b043c35"),
+        ("Z9 x Z27", "2d06e60b5d9b00536c9f18636234bda0633289f0a99a3e7eac33f265cce945d1"),
+        ("Z2 x Z4 x Z8", "11af6ac388c3f0db321e3380fbd6822f49f645a088e42dabbc3e31947b79e6b3"),
+        ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "d0f2fe4d1d74f4595d8a594d501c274a124aac14a48802b8d5b4241dc4aba866"),
+        ("Z4 x Z4 x Z4", "b97cc3299e7fe683424d0e0ffcab348847c15e18ec54e7fa70307542abbfaab5"),
+        ("Z2 x Z4 x Z3 x Z5", "50a207cf34f669a745e0d5e74f7f9f5e1d64c7152c9d101e820a20ef0aded221"),
+    ])
+    def test_subgroups_json_is_golden(self, capsys, group, digest):
+        # Pins the enumeration order and each subgroup's generators; the
+        # JSON carries timing_ms null, so the bytes are stable.
+        code, out, _ = run(capsys, "oracle", "subgroups", group, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_invariant_violation_exit_4(self, capsys, monkeypatch):
         def zero_diagonal(a):

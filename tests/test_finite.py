@@ -148,12 +148,11 @@ class TestGroupBasics:
     def test_code_arithmetic_matches_tuple_arithmetic(self):
         for orders in ([2, 4, 3, 9], [8, 5], [], [2, 2, 2], [7]):
             g = Z(orders)
-            table = g._add_table()
-            assert len(table) == g.order
             for x in range(g.order):
-                assert len(table[x]) == g.order
+                row = g._add_row(x)
+                assert len(row) == g.order
                 for y in range(g.order):
-                    assert table[x][y] == g._add_codes(x, y) == add_codes(g, x, y)
+                    assert row[y] == g._add_codes(x, y) == add_codes(g, x, y)
                 assert g._code_order(x) == g.element_order(g.decode(x))
 
     def test_small_subgroup_of_large_group_stays_cheap(self):
@@ -220,10 +219,55 @@ class TestEnumeration:
                 den *= p ** (j - i) - 1
             return num // den
 
-        cases = [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+        cases = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
         for p, k in cases:
             expected = sum(gaussian_binomial(k, j, p) for j in range(k + 1))
             assert len(enumerate_subgroups(Z([p] * k))) == expected, (p, k)
+
+    def test_rank_two_counts_match_gcd_sum(self):
+        # Z_m x Z_n has sum over i | m, j | n of gcd(i, j) subgroups
+        # (Hampejs, Holighaus, Toth and Wiesmeyr, J. Numbers 2014): a
+        # closed form that shares nothing with the lattice walk.
+        cases = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for a in range(1, 8):
+                for b in range(a, 8):
+                    m, n = p**a, p**b
+                    if m * n > 243:
+                        continue
+                    expected = sum(gcd(i, j) for i in divisors(m) for j in divisors(n))
+                    assert len(enumerate_subgroups(Z([m, n]))) == expected, (m, n)
+                    cases += 1
+        assert cases == 23
+
+    def test_walk_builds_rows_only_for_adjoined_elements(self, monkeypatch):
+        # The walk builds the addition row of an element only when it
+        # adjoins that element, and at most once, never the |G|^2 table;
+        # in a cyclic group one row per nontrivial subgroup suffices.
+        built = []
+        add_row = FiniteAbelianGroup._add_row
+
+        def counted(group, x):
+            row = add_row(group, x)
+            built.append(len(row))
+            return row
+
+        monkeypatch.setattr(FiniteAbelianGroup, "_add_row", counted)
+        for g in (Z([5**3]), Z([3**5])):
+            built.clear()
+            subs = enumerate_subgroups(g)
+            assert len(built) == len(subs) - 1 < g.order
+            assert sum(built) < g.order**2
+        elementary = Z([2] * 6)
+        built.clear()
+        enumerate_subgroups(elementary)
+        assert len(built) < elementary.order
+
+    def test_subgroups_carry_their_element_masks(self):
+        groups = isomorphism_classes_upto(64) + [Z([2, 4, 3, 5]), Z([3, 9, 5]), Z([2, 2, 3, 3, 5])]
+        for g in groups:
+            for h in enumerate_subgroups(g):
+                assert h._mask == sum(1 << c for c in h.codes), (g, h)
 
     def test_deterministic_order(self):
         g = Z([2, 4, 3])
