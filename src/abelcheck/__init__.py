@@ -8,8 +8,6 @@ from .characteristics import (
     CHAR_Z,
     INF,
     Characteristic,
-    GroupType,
-    canonical_characteristics,
     equivalent,
     is_homogeneous,
     localization_char,
@@ -17,12 +15,10 @@ from .characteristics import (
 from .deciders import (
     DecisionReport,
     EvidenceRow,
-    PoorEquivalenceReport,
     in_pure_injectivity_domain_of_witness,
     is_poor,
     is_pure_split,
     pi_poor_necessary,
-    poor_report,
     witness_truncation,
     witness_truncation_without_unit_layer,
 )
@@ -69,15 +65,10 @@ from .groups import (
     ZERO_GROUP,
     canonicalize,
     direct_sum,
-    divisible_part,
     group_of,
     is_bounded,
-    is_isomorphic,
-    p_primary,
-    reduced_part,
     structural_predicates,
     torsion_free_rank,
-    torsion_part,
 )
 from .parser import parse, render
 from .snf import smith_normal_form

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .arith import is_prime
-from .errors import NonTorsionFreeInput, ParseError
+from .errors import NonTorsionFreeInput
 
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import CanonicalGroup
@@ -151,41 +151,6 @@ class Characteristic:
         return self.render()
 
 
-def parse_characteristic(text: str, base_position: int = 0) -> Characteristic:
-    """Parse ``("0"|"inf") (";" p ":" (n|"inf"))*``; "," also separates.
-
-    ``base_position`` offsets error positions when the text is embedded
-    in a larger expression.
-    """
-    src = text.strip()
-    parts = [piece.strip() for piece in src.replace(",", ";").split(";")]
-    if not parts or parts[0] not in ("0", "inf"):
-        raise ParseError("characteristic must start with '0' or 'inf'", base_position)
-    default: Height = 0 if parts[0] == "0" else INF
-    exceptions: dict[int, Height] = {}
-    for piece in parts[1:]:
-        if not piece:
-            raise ParseError("empty characteristic entry", base_position)
-        if ":" not in piece:
-            raise ParseError(f"expected 'prime:height', got {piece!r}", base_position)
-        p_text, h_text = (s.strip() for s in piece.split(":", 1))
-        if not p_text.isdigit():
-            raise ParseError(f"prime expected, got {p_text!r}", base_position)
-        p = int(p_text)
-        if not is_prime(p):
-            raise ParseError(f"{p} is not prime", base_position)
-        if h_text == "inf":
-            h: Height = INF
-        elif h_text.isdigit():
-            h = int(h_text)
-        else:
-            raise ParseError(f"height expected, got {h_text!r}", base_position)
-        if p in exceptions and exceptions[p] != h:
-            raise ParseError(f"conflicting heights for prime {p}", base_position)
-        exceptions[p] = h
-    return Characteristic(default, exceptions)
-
-
 def equivalent(a: Characteristic, b: Characteristic) -> bool:
     """Whether a and b define the same type.
 
@@ -209,24 +174,6 @@ def equivalent(a: Characteristic, b: Characteristic) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class GroupType:
-    """An equivalence class of characteristics."""
-
-    representative: Characteristic
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupType):
-            return NotImplemented
-        return equivalent(self.representative, other.representative)
-
-    def __hash__(self) -> int:
-        return hash(self.representative.type_representative())
-
-    def __str__(self) -> str:
-        return self.representative.type_representative().render()
-
-
 # Named characteristics: the integers, the full rationals, and the
 # localization of the integers at a single prime p (denominators coprime
 # to p, hence infinite height at every other prime and height 0 at p).
@@ -240,23 +187,15 @@ def localization_char(p: int) -> Characteristic:
     return Characteristic(INF, {p: 0})
 
 
-def canonical_characteristics() -> dict[str, Characteristic]:
-    """The named constants, keyed the way reports label them."""
-    out = {"Z": CHAR_Z, "Q": CHAR_Q}
-    for p in (2, 3, 5):
-        out[f"Q_({p})"] = localization_char(p)
-    return out
-
-
 def is_homogeneous(group: "CanonicalGroup") -> bool:
     """Whether all rank-1 summands of a torsion-free group share a type.
 
     Groups in the representable class are completely decomposable, so
-    the element-level condition reduces to pairwise equivalence of the
-    summand characteristics.  Raises NonTorsionFreeInput when the group
-    has torsion.
+    the element-level condition is that the summands have equivalent
+    characteristics.  Canonical forms key their rational summands by
+    type representative, so that means at most one key.  Raises
+    NonTorsionFreeInput when the group has torsion.
     """
     if group.has_torsion():
         raise NonTorsionFreeInput("homogeneity is defined for torsion-free groups only")
-    chars = [c for c, _ in group.rational_atoms()]
-    return all(equivalent(chars[0], c) for c in chars[1:])
+    return len(group.rationals) <= 1

@@ -198,7 +198,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
 # crosscheck
 
 
-def _random_group(rng: random.Random, max_order: int, primes=(2, 3, 5), max_rank: int = 3) -> FiniteAbelianGroup:
+def _random_group(rng: random.Random, max_order: int, primes: list[int], max_rank: int = 3) -> FiniteAbelianGroup:
     while True:
         rank = rng.randint(1, max_rank)
         factors = [rng.choice(primes) ** rng.randint(1, 3) for _ in range(rank)]
@@ -247,8 +247,14 @@ def _hom_instance_dict(g, m, h, f, snf_v, brute_v) -> dict:
 
 def cmd_crosscheck(args) -> int:
     started = time.perf_counter()
+    # Sampled groups need a prime to draw from and room for an order-2 factor.
+    for flag, value in (("--bound", args.bound), ("--max-prime", args.max_prime)):
+        if value < 2:
+            print(f"parse error: {flag} must be at least 2, got {value}", file=sys.stderr)
+            return 2
     rng = random.Random(args.seed)
     bound = args.bound
+    primes = [p for p in (2, 3, 5) if p <= args.max_prime]
     checks = []
     failures = []
 
@@ -256,7 +262,7 @@ def cmd_crosscheck(args) -> int:
     count_ps = 0
     fail_ps = []
     for _ in range(args.count):
-        group = _random_group(rng, min(bound, 64))
+        group = _random_group(rng, min(bound, 64), primes)
         count_ps += 1
         witness = finite.first_pure_non_summand(group, bound=bound)
         if witness is not None:
@@ -271,8 +277,7 @@ def cmd_crosscheck(args) -> int:
     # 2. relative injectivity between cyclic p-power groups follows m >= n
     count_tab = 0
     fail_tab = []
-    table_primes = [p for p in (2, 3, 5) if p <= args.max_prime]
-    for p in table_primes:
+    for p in primes:
         for e_m in range(1, 4):
             for e_n in range(1, 4):
                 if p ** max(e_m, e_n) > bound:
@@ -290,8 +295,8 @@ def cmd_crosscheck(args) -> int:
     count_dual = 0
     fail_dual = []
     while count_dual < args.count:
-        g = _random_group(rng, min(bound, 64))
-        m = _random_group(rng, min(bound, 64))
+        g = _random_group(rng, min(bound, 64), primes)
+        m = _random_group(rng, min(bound, 64), primes)
         if hom_space_size(g, m) > CROSSCHECK_HOM_CAP:
             continue
         h = _random_subgroup(rng, g)

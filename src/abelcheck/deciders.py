@@ -31,7 +31,6 @@ from .groups import (
 
 # Citation tags: short names for the facts the deciders implement.
 CIT_POOR = "poor:order-p-summand-at-every-prime"
-CIT_POOR_EQUIV = "poor:reduced-and-torsion-part-equivalences"
 CIT_PS_TORSION = "pure-split:bounded-reduced-primaries"
 CIT_PS_PGROUP = "pure-split:primary-divisible-complement"
 CIT_PS_TF = "pure-split:homogeneous-finite-rank"
@@ -126,59 +125,6 @@ def is_poor(g: CanonicalGroup) -> DecisionReport:
     return _report(_socle_summand_rows(g), (CIT_POOR,))
 
 
-@dataclass(frozen=True)
-class PoorEquivalenceReport:
-    """The four equivalent formulations of poorness, evaluated separately.
-
-    They must agree; disagreement is a library defect and raises
-    InternalConsistencyError at construction.
-    """
-
-    poor: DecisionReport
-    reduced_part_poor: DecisionReport
-    torsion_part_poor: DecisionReport
-    summand_at_every_prime: DecisionReport
-
-    def __post_init__(self):
-        verdicts = {
-            self.poor.verdict,
-            self.reduced_part_poor.verdict,
-            self.torsion_part_poor.verdict,
-            self.summand_at_every_prime.verdict,
-        }
-        if len(verdicts) != 1:
-            raise InternalConsistencyError(
-                "equivalent poorness conditions disagree: "
-                f"poor={self.poor.verdict}, reduced={self.reduced_part_poor.verdict}, "
-                f"torsion={self.torsion_part_poor.verdict}, "
-                f"per-prime={self.summand_at_every_prime.verdict}"
-            )
-
-    @property
-    def verdict(self) -> bool:
-        return self.poor.verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "poor": self.poor.to_dict(),
-            "reduced_part_poor": self.reduced_part_poor.to_dict(),
-            "torsion_part_poor": self.torsion_part_poor.to_dict(),
-            "summand_at_every_prime": self.summand_at_every_prime.to_dict(),
-            "citations": [CIT_POOR, CIT_POOR_EQUIV],
-        }
-
-
-def poor_report(g: CanonicalGroup) -> PoorEquivalenceReport:
-    per_prime = _report(_socle_summand_rows(g), (CIT_POOR_EQUIV,))
-    return PoorEquivalenceReport(
-        poor=is_poor(g),
-        reduced_part_poor=is_poor(g.reduced_part()),
-        torsion_part_poor=is_poor(g.torsion_part()),
-        summand_at_every_prime=per_prime,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Pure-splitness / membership in the witness's pure-injectivity domain.
 
@@ -249,6 +195,11 @@ def is_pure_split(g: CanonicalGroup) -> DecisionReport:
     On the representable class this holds exactly when every reduced
     p-primary part is bounded, the reduced torsion-free part is
     homogeneous of finite rank, and the divisible part is arbitrary.
+
+    Only the bounded-primaries row can be checked against the finite
+    oracle.  The torsion-free and mixed conditions have no finite
+    shadow: every finite group is torsion and pure-split, so no finite
+    truncation of g can fail them.
     """
     return _report(_pure_split_rows(g), _pure_split_citations(g, include_witness=False))
 
@@ -335,10 +286,10 @@ def witness_truncation_without_unit_layer(max_prime: int, max_exponent: int) -> 
 
 
 __all__ = [
-    "EvidenceRow", "DecisionReport", "PoorEquivalenceReport",
-    "is_poor", "poor_report", "is_pure_split",
+    "EvidenceRow", "DecisionReport",
+    "is_poor", "is_pure_split",
     "in_pure_injectivity_domain_of_witness", "pi_poor_necessary",
     "witness_truncation", "witness_truncation_without_unit_layer",
-    "CIT_POOR", "CIT_POOR_EQUIV", "CIT_PS_TORSION", "CIT_PS_PGROUP",
+    "CIT_POOR", "CIT_PS_TORSION", "CIT_PS_PGROUP",
     "CIT_PS_TF", "CIT_PS_MIXED", "CIT_WITNESS", "CIT_PI_TORSION", "CIT_PI_UNBOUNDED",
 ]

@@ -464,6 +464,18 @@ def is_pure_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> bool:
     return True
 
 
+def _relation_rows(g: FiniteAbelianGroup, gens: list[Element]) -> list[list[int]]:
+    """The integer relations among ``gens`` in g: the kernel of the
+    matrix [gens; diag(g.factors)], cut to its first len(gens) columns."""
+    if not gens:
+        return []
+    t = len(gens)
+    r = g.rank
+    mat = [list(e) for e in gens]
+    mat += [[g.factors[i] if j == i else 0 for j in range(r)] for i in range(r)]
+    return [row[:t] for row in integer_row_kernel(mat)]
+
+
 def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[int], list[list[int]]]:
     """Generators, invariant-factor orders, and the change-of-basis V.
 
@@ -473,14 +485,8 @@ def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[int], list
     gens = h.generating_set()
     if not gens:
         return [], [], []
-    g = h.group
-    t = len(gens)
-    r = g.rank
-    mat = [list(e) for e in gens]
-    mat += [[g.factors[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    relations = [row[:t] for row in integer_row_kernel(mat)]
-    _, s, v = smith_normal_form(relations)
-    orders = [s[i][i] for i in range(t)]
+    _, s, v = smith_normal_form(_relation_rows(h.group, gens))
+    orders = [s[i][i] for i in range(len(gens))]
     if not all(d > 0 for d in orders):
         raise InternalConsistencyError(f"finite subgroup {h!r} has relation invariants {orders}, "
                                        "not all positive")
@@ -601,11 +607,7 @@ def _validated_instance(f: Mapping[Element, Element], h: Subgroup,
         m.validate_element(im)
     if _closure_codes(g, [g.encode(ge) for ge in gens]) != h.codes:
         raise ValueError("the map's keys do not generate the subgroup")
-    t = len(gens)
-    mat = [list(e) for e in gens]
-    mat += [[g.factors[i] if j == i else 0 for j in range(g.rank)] for i in range(g.rank)]
-    relations = [row[:t] for row in integer_row_kernel(mat)] if t else []
-    for row in relations:
+    for row in _relation_rows(g, gens):
         if _combo(m, row, images) != m.zero():
             raise IllDefinedHom(f"relation {row} is not annihilated by the images")
     return gens, images
@@ -670,17 +672,25 @@ def _annihilator_elements(m: FiniteAbelianGroup, s: int) -> list[Element]:
 # Relative injectivity.
 
 
-def _all_homs_on_generators(k: Subgroup, m: FiniteAbelianGroup):
-    """Yield, for every homomorphism k -> m, the images of
-    k.generating_set() in order.
+def _hom_choices(k: Subgroup, m: FiniteAbelianGroup):
+    """(generators, choice lists, coefficient rows) for the homs k -> m.
 
     Uses the diagonalized presentation of k: choosing an annihilator
-    element for each invariant factor gives each hom exactly once.
+    element of m from each list (one per invariant factor above 1) gives
+    each hom exactly once, and generator u maps to the combination of
+    the picks with coefficient row u.
     """
     gens, orders, v = _invariant_presentation(k)
     keep = [i for i, s in enumerate(orders) if s > 1]
     choice_lists = [_annihilator_elements(m, orders[i]) for i in keep]
     coeff_rows = [[v[u][i] for i in keep] for u in range(len(gens))]
+    return gens, choice_lists, coeff_rows
+
+
+def _all_homs_on_generators(k: Subgroup, m: FiniteAbelianGroup):
+    """Yield, for every homomorphism k -> m, the images of
+    k.generating_set() in order."""
+    _, choice_lists, coeff_rows = _hom_choices(k, m)
     for picks in product(*choice_lists):
         yield [_combo(m, coeffs, picks) for coeffs in coeff_rows]
 
@@ -691,16 +701,9 @@ def sample_homomorphism(h: Subgroup, m: FiniteAbelianGroup, rng) -> dict[Element
     Uses the diagonalized presentation, so every returned map is
     well-defined; the draw is deterministic for a seeded rng.
     """
-    gens, orders, v = _invariant_presentation(h)
-    if not gens:
-        return {}
-    keep = [i for i, s in enumerate(orders) if s > 1]
-    picks = [rng.choice(_annihilator_elements(m, orders[i])) for i in keep]
-    images = []
-    for u in range(len(gens)):
-        coeffs = [v[u][i] for i in keep]
-        images.append(_combo(m, coeffs, picks))
-    return dict(zip(gens, images))
+    gens, choice_lists, coeff_rows = _hom_choices(h, m)
+    picks = [rng.choice(choices) for choices in choice_lists]
+    return {gen: _combo(m, coeffs, picks) for gen, coeffs in zip(gens, coeff_rows)}
 
 
 def is_relatively_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
@@ -723,16 +726,13 @@ def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
     return True
 
 
-def _masks_by_order(subgroups: Iterable[Subgroup]) -> tuple[list[int], dict[int, list[int]]]:
-    """Each enumerated subgroup's element bitmask, in order, and the same
-    masks bucketed by subgroup order."""
-    masks: list[int] = []
+def _masks_by_order(subgroups: Iterable[Subgroup]) -> dict[int, list[int]]:
+    """The enumerated subgroups' element bitmasks, bucketed by subgroup
+    order."""
     by_order: dict[int, list[int]] = {}
     for k in subgroups:
-        mask = k._mask
-        masks.append(mask)
-        by_order.setdefault(k.order, []).append(mask)
-    return masks, by_order
+        by_order.setdefault(k.order, []).append(k._mask)
+    return by_order
 
 
 def _has_complement(mask: int, candidates: Iterable[int]) -> bool:
@@ -753,9 +753,9 @@ def first_pure_non_summand(n: FiniteAbelianGroup, bound: int | None = None) -> S
     only ever a filter here, never a reason to accept a summand.
     """
     subgroups = enumerate_subgroups(n, bound)
-    masks, by_order = _masks_by_order(subgroups)
-    for k, mask in zip(subgroups, masks):
-        if is_pure_subgroup(k, n) and not _has_complement(mask, by_order.get(n.order // k.order, ())):
+    by_order = _masks_by_order(subgroups)
+    for k in subgroups:
+        if is_pure_subgroup(k, n) and not _has_complement(k._mask, by_order.get(n.order // k.order, ())):
             return k
     return None
 

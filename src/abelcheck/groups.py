@@ -321,9 +321,6 @@ class CanonicalGroup:
     def exception_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.exceptions)
 
-    def rational_atoms(self) -> tuple[tuple[Characteristic, Multiplicity], ...]:
-        return self.rationals
-
     def has_torsion(self) -> bool:
         return not (self.generic.is_trivial and not self.exceptions)
 
@@ -462,33 +459,8 @@ def direct_sum(*groups: CanonicalGroup) -> CanonicalGroup:
     return CanonicalGroup._build(rationals, generic, exceptions)
 
 
-def is_isomorphic(g: CanonicalGroup, h: CanonicalGroup) -> bool:
-    """Isomorphism test; on canonical forms this is plain equality."""
-    return g == h
-
-
 # ---------------------------------------------------------------------------
 # Structural queries.
-
-
-def torsion_part(g: CanonicalGroup) -> CanonicalGroup:
-    return g.torsion_part()
-
-
-def torsion_free_part(g: CanonicalGroup) -> CanonicalGroup:
-    return g.torsion_free_part()
-
-
-def p_primary(g: CanonicalGroup, p: int) -> CanonicalGroup:
-    return g.p_primary(p)
-
-
-def divisible_part(g: CanonicalGroup) -> CanonicalGroup:
-    return g.divisible_part()
-
-
-def reduced_part(g: CanonicalGroup) -> CanonicalGroup:
-    return g.reduced_part()
 
 
 def is_bounded(g: CanonicalGroup) -> bool:
@@ -547,7 +519,6 @@ __all__ = [
     "FixedExponent", "PruferAll", "UnboundedTower", "PrimeFamily",
     "GroupDescriptor", "LocalShape", "TRIVIAL_SHAPE",
     "CanonicalGroup", "ZERO_GROUP", "canonicalize", "group_of", "direct_sum",
-    "is_isomorphic", "torsion_part", "torsion_free_part", "p_primary",
-    "divisible_part", "reduced_part", "is_bounded", "torsion_free_rank",
+    "is_bounded", "torsion_free_rank",
     "StructuralSummary", "structural_predicates",
 ]

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from abelcheck import finite
+from abelcheck import cli, finite
+from abelcheck.arith import factorize
 from abelcheck.cli import main
 from abelcheck.snf import smith_normal_form
 
@@ -199,3 +200,32 @@ class TestCrosscheck:
         code, _, err = run(capsys, "crosscheck", "--seed", "1", "--count", "3", "--json")
         assert code == 4
         assert "hom_extends" in err or "counterexamples" in err
+
+    @pytest.mark.parametrize("flag", ["--bound", "--max-prime"])
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_values_below_two_exit_2_before_any_draw(self, capsys, monkeypatch, flag, value):
+        # A group of order <= 1 from primes >= 2 cannot be drawn, and no
+        # prime is <= 1: the draw loop would never end.
+        def no_draws(*a, **k):
+            raise AssertionError("a group was drawn")
+        monkeypatch.setattr(cli, "_random_group", no_draws)
+        code, out, err = run(capsys, "crosscheck", flag, value, "--count", "1", "--json")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("max_prime, primes", [(2, {2}), (3, {2, 3}), (4, {2, 3}), (5, {2, 3, 5})])
+    def test_max_prime_limits_every_suite(self, capsys, monkeypatch, max_prime, primes):
+        drawn = []
+        real = cli._random_group
+
+        def recorded(*args, **kwargs):
+            drawn.append(real(*args, **kwargs))
+            return drawn[-1]
+        monkeypatch.setattr(cli, "_random_group", recorded)
+        code, env, _ = run_json(capsys, "crosscheck", "--seed", "3", "--count", "20",
+                                "--max-prime", str(max_prime), "--json")
+        assert code == 0
+        assert {min(factorize(f)) for g in drawn for f in g.factors} == primes
+        table = {c["name"]: c for c in env["result"]["checks"]}["relative_injectivity_table"]
+        assert table["instances"] == 9 * len(primes)

@@ -12,7 +12,6 @@ from abelcheck.deciders import (
     is_poor,
     is_pure_split,
     pi_poor_necessary,
-    poor_report,
     witness_truncation,
     witness_truncation_without_unit_layer,
 )
@@ -66,32 +65,6 @@ class TestIsPoor:
         g = group_of(CyclicAtom(5, 1), CyclicAtom(2, 1), CyclicAtom(3, 1))
         subjects = [row.subject for row in is_poor(g).evidence]
         assert subjects[:3] == ["p=2", "p=3", "p=5"]
-
-
-class TestPoorReport:
-    def test_poor_witness_all_four(self):
-        rep = poor_report(POOR_WITNESS)
-        assert rep.verdict
-        assert rep.poor.verdict and rep.reduced_part_poor.verdict
-        assert rep.torsion_part_poor.verdict and rep.summand_at_every_prime.verdict
-
-    def test_rationals_all_four_false(self):
-        rep = poor_report(group_of(RationalAtom(CHAR_Q)))
-        assert not rep.verdict
-
-    def test_divisible_torsion_does_not_break_agreement(self):
-        rep = poor_report(direct_sum(POOR_WITNESS, group_of(PruferAtom(2))))
-        assert rep.verdict
-
-    def test_agreement_on_random_groups(self):
-        rng = random.Random(61)
-        for _ in range(500):
-            poor_report(random_group(rng))  # raises on any disagreement
-
-    def test_report_serializes(self):
-        d = poor_report(POOR_WITNESS).to_dict()
-        assert set(d) == {"verdict", "poor", "reduced_part_poor", "torsion_part_poor",
-                          "summand_at_every_prime", "citations"}
 
 
 class TestPureSplit:
