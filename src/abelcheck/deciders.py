@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .arith import primes_upto, smallest_prime_not_in
 from .characteristics import Characteristic, is_homogeneous
-from .errors import InternalConsistencyError
 from .groups import (
     OMEGA,
     CanonicalGroup,
@@ -25,7 +24,6 @@ from .groups import (
     RationalAtom,
     canonicalize,
     mult_to_json,
-    structural_predicates,
     torsion_free_rank,
 )
 
@@ -60,18 +58,17 @@ class EvidenceRow:
 class DecisionReport:
     """Verdict plus its per-prime / per-component justification.
 
-    Invariant: the verdict is true exactly when every evidence row
-    passed; informational observations that must not affect the verdict
-    go into row details, never into extra rows.
+    The verdict is true exactly when every evidence row passed, so
+    informational observations that must not affect it go into row
+    details, never into extra rows.
     """
 
-    verdict: bool
     evidence: tuple[EvidenceRow, ...]
     citations: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.verdict != all(row.passed for row in self.evidence):
-            raise InternalConsistencyError("verdict disagrees with its evidence rows")
+    @property
+    def verdict(self) -> bool:
+        return all(row.passed for row in self.evidence)
 
     def failing_subjects(self) -> tuple[str, ...]:
         return tuple(row.subject for row in self.evidence if not row.passed)
@@ -82,10 +79,6 @@ class DecisionReport:
             "evidence": [row.to_dict() for row in self.evidence],
             "citations": list(self.citations),
         }
-
-
-def _report(rows: list[EvidenceRow], citations: tuple[str, ...]) -> DecisionReport:
-    return DecisionReport(all(r.passed for r in rows), tuple(rows), citations)
 
 
 def _generic_subject(g: CanonicalGroup) -> str:
@@ -122,7 +115,7 @@ def is_poor(g: CanonicalGroup) -> DecisionReport:
     Holds exactly when the torsion part has an order-p cyclic direct
     summand at every prime, which the canonical form shows directly.
     """
-    return _report(_socle_summand_rows(g), (CIT_POOR,))
+    return DecisionReport(tuple(_socle_summand_rows(g)), (CIT_POOR,))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +163,7 @@ def _pure_split_rows(g: CanonicalGroup) -> list[EvidenceRow]:
     return rows
 
 
-def _pure_split_citations(g: CanonicalGroup, include_witness: bool) -> tuple[str, ...]:
+def _pure_split_citations(g: CanonicalGroup) -> tuple[str, ...]:
     cites = []
     has_torsion = g.has_torsion()
     has_tf = bool(g.rationals)
@@ -184,8 +177,6 @@ def _pure_split_citations(g: CanonicalGroup, include_witness: bool) -> tuple[str
         cites.append(CIT_PS_MIXED)
     if not cites:
         cites.append(CIT_PS_TORSION)
-    if include_witness:
-        cites.append(CIT_WITNESS)
     return tuple(cites)
 
 
@@ -201,7 +192,7 @@ def is_pure_split(g: CanonicalGroup) -> DecisionReport:
     shadow: every finite group is torsion and pure-split, so no finite
     truncation of g can fail them.
     """
-    return _report(_pure_split_rows(g), _pure_split_citations(g, include_witness=False))
+    return DecisionReport(tuple(_pure_split_rows(g)), _pure_split_citations(g))
 
 
 def in_pure_injectivity_domain_of_witness(g: CanonicalGroup) -> DecisionReport:
@@ -214,7 +205,8 @@ def in_pure_injectivity_domain_of_witness(g: CanonicalGroup) -> DecisionReport:
     so the verdict coincides with is_pure_split; the citations name the
     per-component facts behind the identity.
     """
-    return _report(_pure_split_rows(g), _pure_split_citations(g, include_witness=True))
+    report = is_pure_split(g)
+    return DecisionReport(report.evidence, report.citations + (CIT_WITNESS,))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +238,10 @@ def pi_poor_necessary(g: CanonicalGroup) -> DecisionReport:
         detail = f"fails at p={w}: generic p-primary shape is bounded"
     rows.append(EvidenceRow(_generic_subject(g), cond, passed, detail))
 
-    not_torsion = not structural_predicates(g).is_torsion
+    not_torsion = bool(g.rationals)
     rows.append(EvidenceRow("whole group", "group is not torsion", not_torsion,
                             "" if not_torsion else "every element has finite order"))
-    return _report(rows, (CIT_PI_UNBOUNDED, CIT_PI_TORSION))
+    return DecisionReport(tuple(rows), (CIT_PI_UNBOUNDED, CIT_PI_TORSION))
 
 
 # ---------------------------------------------------------------------------

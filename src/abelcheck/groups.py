@@ -220,24 +220,20 @@ class LocalShape:
     tower: Multiplicity = 0
 
     @staticmethod
-    def make(cyclic: Mapping[int, Multiplicity] | Iterable[tuple[int, Multiplicity]] = (),
-             prufer: Multiplicity = 0, tower: Multiplicity = 0) -> "LocalShape":
-        items = cyclic.items() if isinstance(cyclic, Mapping) else cyclic
-        acc: dict[int, Multiplicity] = {}
-        for n, m in items:
+    def make(cyclic: Mapping[int, Multiplicity] = {}, prufer: Multiplicity = 0,
+             tower: Multiplicity = 0) -> "LocalShape":
+        for n, m in cyclic.items():
             if m == 0:
                 continue
             if not (isinstance(n, int) and n >= 1):
                 raise ValueError(f"cyclic exponent must be >= 1, got {n!r}")
             check_multiplicity(m)
-            acc[n] = add_mult(acc.get(n, 0), m) if n in acc else m
         if prufer != 0:
             check_multiplicity(prufer)
         if tower != 0:
             check_multiplicity(tower)
-        if tower is OMEGA:
-            acc = {}
-        return LocalShape(tuple(sorted(acc.items())), prufer, tower)
+        layers = () if tower is OMEGA else tuple(sorted((n, m) for n, m in cyclic.items() if m != 0))
+        return LocalShape(layers, prufer, tower)
 
     @property
     def is_trivial(self) -> bool:
@@ -267,13 +263,6 @@ class LocalShape:
     @property
     def is_semisimple(self) -> bool:
         return self.prufer == 0 and self.tower == 0 and all(n == 1 for n, _ in self.cyclic)
-
-    def add(self, other: "LocalShape") -> "LocalShape":
-        acc = dict(self.cyclic)
-        for n, m in other.cyclic:
-            acc[n] = add_mult(acc[n], m) if n in acc else m
-        return LocalShape.make(acc, add_mult(self.prufer, other.prufer),
-                               add_mult(self.tower, other.tower))
 
     def reduced(self) -> "LocalShape":
         return LocalShape(self.cyclic, 0, self.tower)
@@ -359,73 +348,41 @@ ZERO_GROUP = CanonicalGroup()
 # Canonicalization and sums.
 
 
-def canonicalize(d: GroupDescriptor | CanonicalGroup) -> CanonicalGroup:
-    """Fold a descriptor into canonical form.
+def _part_group(part: DescriptorPart, mult: Multiplicity) -> CanonicalGroup:
+    """``mult`` copies of one descriptor part, already in canonical form."""
+    if isinstance(part, RationalAtom):
+        return CanonicalGroup(rationals=((part.char.type_representative(), mult),))
+    if isinstance(part, CyclicAtom):
+        return CanonicalGroup(exceptions=((part.p, LocalShape(((part.n, mult),))),))
+    if isinstance(part, PruferAtom):
+        return CanonicalGroup(exceptions=((part.p, LocalShape(prufer=mult)),))
+    if isinstance(part, TowerAtom):
+        return CanonicalGroup(exceptions=((part.p, LocalShape(tower=mult)),))
+    mult = mul_mult(part.multiplicity, mult)
+    template = part.template
+    if isinstance(template, FixedExponent):
+        generic = LocalShape(((template.exponent, mult),))
+    elif isinstance(template, PruferAll):
+        generic = LocalShape(prufer=mult)
+    else:
+        generic = LocalShape(tower=mult)
+    return CanonicalGroup(generic=generic,
+                          exceptions=tuple((p, TRIVIAL_SHAPE) for p in part.excluded))
 
-    Equal cyclic/quasicyclic layers merge; rational summands with
-    equivalent characteristics merge under the type representative;
-    family exclusions become per-prime replacement shapes.  Canonical
-    groups pass through unchanged, so the map is idempotent.
+
+def canonicalize(d: GroupDescriptor | CanonicalGroup) -> CanonicalGroup:
+    """Fold a descriptor into canonical form: the direct sum of its parts.
+
+    Each part is canonical on its own (a family is its generic shape with
+    the trivial shape at each excluded prime), so ``direct_sum`` does all
+    the merging.  Canonical groups pass through unchanged, so the map is
+    idempotent.
     """
     if isinstance(d, CanonicalGroup):
         return d
     if not isinstance(d, GroupDescriptor):
         raise ValueError(f"cannot canonicalize {d!r}")
-
-    rationals: dict[Characteristic, Multiplicity] = {}
-    local_cyclic: dict[int, dict[int, Multiplicity]] = {}
-    local_prufer: dict[int, Multiplicity] = {}
-    local_tower: dict[int, Multiplicity] = {}
-    families: list[tuple[FamilyTemplate, Multiplicity, tuple[int, ...]]] = []
-
-    def bump(store: dict, key, m: Multiplicity) -> None:
-        store[key] = add_mult(store[key], m) if key in store else m
-
-    for part, mult in d.parts:
-        if isinstance(part, CyclicAtom):
-            bump(local_cyclic.setdefault(part.p, {}), part.n, mult)
-        elif isinstance(part, PruferAtom):
-            bump(local_prufer, part.p, mult)
-        elif isinstance(part, TowerAtom):
-            bump(local_tower, part.p, mult)
-        elif isinstance(part, RationalAtom):
-            bump(rationals, part.char.type_representative(), mult)
-        else:
-            families.append((part.template, mul_mult(part.multiplicity, mult), part.excluded))
-
-    generic_cyclic: dict[int, Multiplicity] = {}
-    generic_prufer: Multiplicity = 0
-    generic_tower: Multiplicity = 0
-    for template, mult, _ in families:
-        if isinstance(template, FixedExponent):
-            bump(generic_cyclic, template.exponent, mult)
-        elif isinstance(template, PruferAll):
-            generic_prufer = add_mult(generic_prufer, mult)
-        else:
-            generic_tower = add_mult(generic_tower, mult)
-    generic = LocalShape.make(generic_cyclic, generic_prufer, generic_tower)
-
-    special = set(local_cyclic) | set(local_prufer) | set(local_tower)
-    for _, _, excluded in families:
-        special.update(excluded)
-
-    exceptions: dict[int, LocalShape] = {}
-    for p in special:
-        cyc: dict[int, Multiplicity] = dict(local_cyclic.get(p, {}))
-        pruf: Multiplicity = local_prufer.get(p, 0)
-        tow: Multiplicity = local_tower.get(p, 0)
-        for template, mult, excluded in families:
-            if p in excluded:
-                continue
-            if isinstance(template, FixedExponent):
-                bump(cyc, template.exponent, mult)
-            elif isinstance(template, PruferAll):
-                pruf = add_mult(pruf, mult)
-            else:
-                tow = add_mult(tow, mult)
-        exceptions[p] = LocalShape.make(cyc, pruf, tow)
-
-    return CanonicalGroup._build(rationals, generic, exceptions)
+    return direct_sum(*(_part_group(part, mult) for part, mult in d.parts))
 
 
 def group_of(*parts) -> CanonicalGroup:
@@ -440,23 +397,34 @@ def group_of(*parts) -> CanonicalGroup:
     return canonicalize(GroupDescriptor(normalized))
 
 
+def _sum_shapes(shapes: Iterable[LocalShape]) -> LocalShape:
+    cyclic: dict[int, Multiplicity] = {}
+    prufer: Multiplicity = 0
+    tower: Multiplicity = 0
+    for shape in shapes:
+        for n, m in shape.cyclic:
+            cyclic[n] = add_mult(cyclic.get(n, 0), m)
+        if shape.prufer:
+            prufer = add_mult(prufer, shape.prufer)
+        if shape.tower:
+            tower = add_mult(tower, shape.tower)
+    return LocalShape.make(cyclic, prufer, tower)
+
+
 def direct_sum(*groups: CanonicalGroup) -> CanonicalGroup:
-    """Direct sum; commutative and associative up to canonical equality."""
+    """Direct sum; commutative and associative up to canonical equality.
+    The only code that adds shapes, prime by prime (``_sum_shapes``)."""
     rationals: dict[Characteristic, Multiplicity] = {}
-    generic = TRIVIAL_SHAPE
-    special: set[int] = set()
     for g in groups:
         for c, m in g.rationals:
-            rationals[c] = add_mult(rationals[c], m) if c in rationals else m
-        generic = generic.add(g.generic)
-        special.update(g.exception_primes())
-    exceptions = {}
-    for p in special:
-        shape = TRIVIAL_SHAPE
-        for g in groups:
-            shape = shape.add(g.local_at(p))
-        exceptions[p] = shape
-    return CanonicalGroup._build(rationals, generic, exceptions)
+            rationals[c] = add_mult(rationals.get(c, 0), m)
+    exceptions = [dict(g.exceptions) for g in groups]
+    special = set().union(*exceptions)
+    return CanonicalGroup._build(
+        rationals,
+        _sum_shapes(g.generic for g in groups),
+        {p: _sum_shapes(exc.get(p, g.generic) for g, exc in zip(groups, exceptions)) for p in special},
+    )
 
 
 # ---------------------------------------------------------------------------

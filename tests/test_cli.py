@@ -1,5 +1,8 @@
 import hashlib
+import importlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,8 @@ from abelcheck import cli, finite
 from abelcheck.arith import factorize
 from abelcheck.cli import main
 from abelcheck.snf import smith_normal_form
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(capsys, *argv):
@@ -79,6 +84,21 @@ class TestAnalyze:
         _, out1, _ = run(capsys, "analyze", "tower(2) + Q_(3)", "--json")
         _, out2, _ = run(capsys, "analyze", "tower(2) + Q_(3)", "--json")
         assert out1 == out2
+
+    def test_analyze_json_is_golden(self, capsys, monkeypatch):
+        # Pins canonical forms, predicates, evidence rows and citations on
+        # 500 expressions drawn by the benchmark's generator (read from
+        # bench/, not changed); the digest was recorded before canonicalize
+        # became the direct sum of its parts.
+        monkeypatch.syspath_prepend(str(BENCH))
+        random_expression = importlib.import_module("workloads").random_expression
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            code, out, _ = run(capsys, "analyze", random_expression(rng), "--json")
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "aa32fa6f15cd88029d8dc4506f6cfde54e426c1e8135a4728af12e43fc09f348"
 
 
 class TestOracle:

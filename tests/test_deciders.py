@@ -4,6 +4,7 @@ import pytest
 
 from abelcheck.characteristics import CHAR_Q, CHAR_Z, localization_char
 from abelcheck.deciders import (
+    CIT_POOR,
     CIT_PS_MIXED,
     CIT_WITNESS,
     DecisionReport,
@@ -15,7 +16,6 @@ from abelcheck.deciders import (
     witness_truncation,
     witness_truncation_without_unit_layer,
 )
-from abelcheck.errors import InternalConsistencyError
 from abelcheck.groups import (
     OMEGA,
     CyclicAtom,
@@ -193,9 +193,14 @@ class TestWitnessTruncation:
 
 class TestReportMechanics:
     def test_verdict_must_match_rows(self):
-        row = EvidenceRow("p=2", "anything", False)
-        with pytest.raises(InternalConsistencyError):
-            DecisionReport(True, (row,), ())
+        # The verdict is read off the rows, so it cannot disagree with them.
+        rows = (EvidenceRow("p=2", "anything", True), EvidenceRow("p=3", "anything", False))
+        report = DecisionReport(rows, (CIT_POOR,))
+        assert report.verdict is False
+        assert report.failing_subjects() == ("p=3",)
+        assert DecisionReport(rows[:1], ()).verdict is True
+        assert list(report.to_dict()) == ["verdict", "evidence", "citations"]
+        assert report.to_dict()["verdict"] is False
 
     def test_false_verdicts_name_a_failing_subject(self):
         rng = random.Random(73)

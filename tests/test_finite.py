@@ -457,8 +457,7 @@ class TestHomExtension:
                 continue
             h = Subgroup.generated_by(g, [g.decode(rng.randrange(g.order)) for _ in range(rng.randint(0, 2))])
             f = sample_homomorphism(h, m, rng)
-            if set(f) != set(h.generating_set()):
-                continue
+            assert set(f) == set(h.generating_set())
             checked += 1
             assert hom_extends(f, h, g, m) == hom_extends_bruteforce(f, h, g, m)
 
@@ -503,8 +502,8 @@ class TestHomExtension:
             m = Z([rng.choice([2, 4, 3])])
             h = Subgroup.generated_by(g, [g.decode(rng.randrange(g.order))])
             f = sample_homomorphism(h, m, rng)
-            if set(f) == set(h.generating_set()):
-                hom_extends(f, h, g, m)  # must not raise IllDefinedHom
+            assert set(f) == set(h.generating_set())
+            hom_extends(f, h, g, m)  # must not raise IllDefinedHom
 
     def test_sample_homomorphism_draw_is_golden(self):
         # Seeded crosscheck runs replay only while the sampler makes the same
