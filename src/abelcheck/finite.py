@@ -1,6 +1,6 @@
 """Exhaustive ground truth on finite abelian groups.
 
-Everything here is brute force on purpose: subgroup enumeration walks
+Everything here is brute force on purpose: subgroup enumeration builds
 the full lattice, purity tests the defining equation for every divisor
 of the exponent, extension problems are solved two independent ways
 (integer congruence systems via Smith normal form, and plain
@@ -11,12 +11,13 @@ never used to infer that a subgroup is a summand.  The point is to
 validate the symbolic deciders against facts computed with no shared
 cleverness.
 
-Subgroups of a p-group are enumerated by an index-p walk: each subgroup
-H found so far is grown by every element g with p*g in H, which adds the
-p cosets H, g+H, ..., (p-1)g+H.  Its completeness rests only on the
-elementary fact that every nontrivial subgroup of a finite p-group has
-a subgroup of index p; the walk still adds up the elements themselves,
-and none of the pure or summand theorems the oracle checks is used.
+Subgroups of a p-group are built once each, factor by factor.  With
+G = G' + Z(p^e), a subgroup H is fixed by H' = H meet G', its projection
+<p^j> onto Z(p^e), and the fibre over p^j, a coset c + H' with
+p^(e-j)*c in H'; each such triple gives exactly one H.  That is
+bookkeeping on the direct sum: the elements of every subgroup are still
+added up one by one, and none of the pure or summand theorems the oracle
+checks is used.
 
 Groups are direct sums of cyclic groups of prime-power order; elements
 are residue tuples matching the factor list.
@@ -172,8 +173,9 @@ class FiniteAbelianGroup:
         and d the digit of x in Z(m), the code of (h, e) + x is
         code_H(h + x_H) + |H|*((d + e) mod m), so the row is m shifted
         copies of H's row.  It has |G| entries and is not kept: subgroup
-        enumeration builds the row of each element it adjoins, and work
-        on a single subgroup goes through ``_add_codes`` instead.
+        enumeration builds the rows of coset representatives in the
+        groups of its leading factors, and work on a single subgroup goes
+        through ``_add_codes`` instead.
         """
         row = [0]
         size = 1
@@ -211,12 +213,6 @@ class FiniteAbelianGroup:
                 table = [v + size * (n * d % m) for d in range(m) for v in table]
                 size *= m
             self._cache[key] = table
-        return self._cache[key]
-
-    def _multiples_set(self, n: int) -> frozenset[int]:
-        key = ("nG", n)
-        if key not in self._cache:
-            self._cache[key] = frozenset(self._scalar_code_map(n))
         return self._cache[key]
 
     def primary_components(self) -> list[tuple[int, "FiniteAbelianGroup", list[int]]]:
@@ -358,51 +354,49 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[tuple[int, list[
     """All subgroups of a p-group, each as (element bitmask, its codes),
     sorted by (order, mask).
 
-    Level by level in the order: every nontrivial subgroup K of a finite
-    p-group has a subgroup H of index p, and then K = H + <g> for any g
-    in K outside H.  So each subgroup H of order p^k is grown only by
-    the elements g with p*g in H (the fibres of multiplication by p over
-    H), and H + <g> is the union of the p cosets H, g+H, ..., (p-1)g+H.
-    Every element of (H + <g>) - H gives the same subgroup, so all of it
-    is marked covered at once.  The addition row of g is built only when
-    g is adjoined, never the |G|^2 table.
+    Factor by factor: write the group as G' + Z(q), q = p^e, with Z(q)
+    the factor added last, so (a, t) has code code'(a) + |G'|*t.  A
+    subgroup H is fixed by H' = H meet G', its projection <p^j> onto
+    Z(q), and its fibre over p^j, a coset c + H' with p^(e-j)*c in H';
+    each such triple gives H = union over k of (H' + k*c) x {k*p^j}.
+    So each subgroup H' of G' is extended once per coset c + H', c its
+    first code, and per p^j with p^(e-j) at least the order of c + H'.
+    The row of c over G' is built once and only for such c.
     """
-    n = part.order
-    fibres: list[list[int]] = [[] for _ in range(n)]
-    for x, px in enumerate(part._scalar_code_map(p)):
-        fibres[px].append(x)
-    rows: list[list[int] | None] = [None] * n
-    trivial = (1, [0])  # {0}: bit 0 only
-    found = [trivial]
-    seen = {1}
-    frontier = [trivial]
-    while frontier:
-        nxt: list[tuple[int, list[int]]] = []
-        for sub_mask, members in frontier:
-            covered = bytearray(n)
-            for h in members:
-                covered[h] = 1
-            for h in members:
-                for g in fibres[h]:
-                    if covered[g]:
-                        continue
-                    row = rows[g]
-                    if row is None:
-                        row = rows[g] = part._add_row(g)
-                    coset = [row[x] for x in members]
-                    new = coset
-                    for _ in range(p - 2):
-                        coset = [row[x] for x in coset]
-                        new = new + coset
-                    grown = sub_mask
-                    for x in new:
-                        covered[x] = 1
-                        grown |= 1 << x
-                    if grown not in seen:
-                        seen.add(grown)
-                        nxt.append((grown, members + new))
-        found += nxt
-        frontier = nxt
+    found = [(1, [0])]  # the trivial group's one subgroup: bit 0, code 0
+    for i, q in enumerate(part.factors):
+        prefix = FiniteAbelianGroup(part.factors[:i])
+        n = prefix.order
+        full = (1 << n) - 1
+        rows: dict[int, list[int]] = {}
+        grown = []
+        for sub_mask, members in found:
+            reached = 0  # the cosets of H' handled so far
+            while reached != full:
+                c = ((reached + 1) & ~reached).bit_length() - 1  # first code not reached
+                if c and c not in rows:
+                    rows[c] = prefix._add_row(c)
+                row = rows.get(c)
+                cosets = [(members, sub_mask)]  # H' + k*c, k below the order of c + H'
+                coset, x = members, c
+                while not sub_mask >> x & 1:
+                    coset = [row[y] for y in coset]
+                    cosets.append((coset, sum([1 << y for y in coset])))
+                    x = row[x]
+                reached |= cosets[1][1] if c else sub_mask
+                period = len(cosets)
+                step = 1  # p^j
+                while step * period <= q:
+                    mask = 0
+                    codes: list[int] = []
+                    for k in range(q // step):
+                        coset, coset_mask = cosets[k % period]
+                        offset = n * k * step
+                        mask |= coset_mask << offset
+                        codes += [y + offset for y in coset]
+                    grown.append((mask, codes))
+                    step *= p
+        found = grown
     found.sort(key=lambda sub: (sub[0].bit_count(), sub[0]))
     return found
 
@@ -412,12 +406,13 @@ def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list
 
     Subgroups of a finite abelian group split over the primary
     components, so each Sylow part is enumerated on its own and the
-    results are recombined.  A p-group's lattice is walked upwards one
-    index-p step at a time (see ``_pgroup_subgroups``): every subgroup
-    is reached by adjoining single elements and closing up, with no
-    theorem about purity or summands assumed, so the list stays a brute
-    force ground truth.  Within a p-group the order is by (order, element
-    bitmask); each subgroup carries its bitmask over the codes of g.
+    results are recombined.  A p-group's subgroups are built factor by
+    factor, each exactly once (see ``_pgroup_subgroups``): every subgroup
+    is the union of cosets of a subgroup of the earlier factors, and its
+    elements are added up one by one, with no theorem about purity or
+    summands assumed, so the list stays a brute force ground truth.
+    Within a p-group the order is by (order, element bitmask); each
+    subgroup carries its bitmask over the codes of g.
     """
     limit = DEFAULT_ORDER_BOUND if bound is None else bound
     if g.order > limit:
@@ -454,12 +449,13 @@ def is_pure_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> bool:
     checking the divisors of exponent(G) covers every integer.
     """
     _require_subgroup(h, g)
-    for n in divisors(g.exponent):
-        if n == 1:
-            continue
-        smap = g._scalar_code_map(n)
-        n_h = {smap[c] for c in h.codes}
-        if n_h != (h.codes & g._multiples_set(n)):
+    tables = g._cache.get("purity")
+    if tables is None:  # (multiplication by n, nG) for each divisor n > 1
+        maps = [g._scalar_code_map(n) for n in divisors(g.exponent) if n > 1]
+        tables = g._cache["purity"] = [(smap, frozenset(smap)) for smap in maps]
+    codes = h.codes
+    for smap, multiples in tables:
+        if {smap[c] for c in codes} != codes & multiples:
             return False
     return True
 

@@ -99,6 +99,98 @@ def order_multiset(group):
     return sorted(group.element_order(a) for a in group.elements())
 
 
+def walk_subgroups(part, p):
+    """All subgroups of a p-group as (element bitmask, codes), sorted by
+    (order, mask), by the index-p walk: every nontrivial subgroup K has a
+    subgroup H of index p, and K = H + <g> for any g in K outside H with
+    p*g in H.  Each subgroup is reached once per maximal subgroup and the
+    repeats are dropped; the reference the library's enumerator is
+    checked against."""
+    n = part.order
+    fibres = [[] for _ in range(n)]
+    for x, px in enumerate(part._scalar_code_map(p)):
+        fibres[px].append(x)
+    rows = [None] * n
+    found = frontier = [(1, [0])]
+    seen = {1}
+    while frontier:
+        nxt = []
+        for sub_mask, members in frontier:
+            covered = bytearray(n)
+            for h in members:
+                covered[h] = 1
+            for h in members:
+                for g in fibres[h]:
+                    if covered[g]:
+                        continue
+                    row = rows[g]
+                    if row is None:
+                        row = rows[g] = part._add_row(g)
+                    coset = [row[x] for x in members]
+                    new = coset
+                    for _ in range(p - 2):
+                        coset = [row[x] for x in coset]
+                        new = new + coset
+                    grown = sub_mask
+                    for x in new:
+                        covered[x] = 1
+                        grown |= 1 << x
+                    if grown not in seen:
+                        seen.add(grown)
+                        nxt.append((grown, members + new))
+        found = found + nxt
+        frontier = nxt
+    found.sort(key=lambda sub: (sub[0].bit_count(), sub[0]))
+    return found
+
+
+def gaussian_binomial(k, j, p):
+    """Number of j-dimensional subspaces of a k-dimensional space over
+    GF(p), from the product formula."""
+    num = den = 1
+    for i in range(j):
+        num *= p ** (k - i) - 1
+        den *= p ** (j - i) - 1
+    return num // den
+
+
+def butler_subgroup_count(g, p):
+    """Number of subgroups of the abelian p-group g of type lambda: the
+    sum over types mu within lambda of prod_i p^(mu'_{i+1} (lambda'_i -
+    mu'_i)) [lambda'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p (Birkhoff 1935;
+    Butler, Subgroup Lattices and Symmetric Functions, Mem. AMS 1994).
+    Here ' is the conjugate partition: lambda'_i counts the cyclic factors
+    of order above p^(i-1).  A closed form that shares nothing with
+    either enumerator."""
+    lam = []
+    while any(f > p ** len(lam) for f in g.factors):
+        lam.append(sum(1 for f in g.factors if f > p ** len(lam)))
+
+    def below(i, prev):
+        # the conjugates mu' within lambda' from column i on, mu'_i <= prev
+        if i == len(lam):
+            return [[]]
+        return [[a] + rest for a in range(min(prev, lam[i]) + 1) for rest in below(i + 1, a)]
+
+    total = 0
+    for mu in below(0, g.rank):
+        mu = mu + [0]
+        term = 1
+        for i, li in enumerate(lam):
+            term *= p ** (mu[i + 1] * (li - mu[i])) * gaussian_binomial(li - mu[i + 1], mu[i] - mu[i + 1], p)
+        total += term
+    return total
+
+
+def p_groups(p, max_order):
+    """Every abelian p-group of order p up to max_order."""
+    out, order = [], p
+    while order <= max_order:
+        out += isomorphism_classes_of_order(order)
+        order *= p
+    return out
+
+
 def rel_inj_closed_form(m, n):
     """M is N-injective iff, at every prime p of N, every cyclic p-factor
     of M has order >= exp(N_p)."""
@@ -211,16 +303,9 @@ class TestEnumeration:
 
     def test_elementary_abelian_counts_match_gaussian_binomials(self):
         # subgroups of (Z_p)^k are subspaces; their number is the sum of
-        # Gaussian binomial coefficients, computed here from the product
+        # Gaussian binomial coefficients, computed from the product
         # formula as an independent combinatorial oracle
-        def gaussian_binomial(k, j, p):
-            num = den = 1
-            for i in range(j):
-                num *= p ** (k - i) - 1
-                den *= p ** (j - i) - 1
-            return num // den
-
-        cases = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+        cases = [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (7, 2)]
         for p, k in cases:
             expected = sum(gaussian_binomial(k, j, p) for j in range(k + 1))
             assert len(enumerate_subgroups(Z([p] * k))) == expected, (p, k)
@@ -228,7 +313,7 @@ class TestEnumeration:
     def test_rank_two_counts_match_gcd_sum(self):
         # Z_m x Z_n has sum over i | m, j | n of gcd(i, j) subgroups
         # (Hampejs, Holighaus, Toth and Wiesmeyr, J. Numbers 2014): a
-        # closed form that shares nothing with the lattice walk.
+        # closed form that shares nothing with the enumerator.
         cases = 0
         for p in (2, 3, 5, 7, 11, 13):
             for a in range(1, 8):
@@ -241,28 +326,54 @@ class TestEnumeration:
                     cases += 1
         assert cases == 23
 
-    def test_walk_builds_rows_only_for_adjoined_elements(self, monkeypatch):
-        # The walk builds the addition row of an element only when it
-        # adjoins that element, and at most once, never the |G|^2 table;
-        # in a cyclic group one row per nontrivial subgroup suffices.
+    def test_counts_match_butler_closed_form(self):
+        # The Birkhoff-Butler count of subgroups by type, summed over the
+        # types, on every abelian p-group of the orders below.
+        groups = [(g, p) for p, top in ((2, 128), (3, 243), (5, 125)) for g in p_groups(p, top)]
+        assert len(groups) == 44 + 18 + 6
+        for g, p in groups:
+            assert len(enumerate_subgroups(g)) == butler_subgroup_count(g, p), g
+
+    def test_matches_index_p_walk(self):
+        # Same (mask, codes) lists in the same order as the reference walk
+        # on every abelian p-group of order at most 256, 243, 125 and 49
+        # for p = 2, 3, 5, 7, apart from Z2^7, Z2^6 x Z4 and Z2^8, where
+        # the walk alone takes 1.5, 3.7 and 37 s (2-core x86 VM, Python
+        # 3.11).
+        slow = {(2,) * 7, (2,) * 6 + (4,), (2,) * 8}
+        cases = 0
+        for p, top in ((2, 256), (3, 243), (5, 125), (7, 49)):
+            for g in p_groups(p, top):
+                if g.factors in slow:
+                    continue
+                ours = [(mask, sorted(codes)) for mask, codes in finite._pgroup_subgroups(g, p)]
+                walk = [(mask, sorted(codes)) for mask, codes in walk_subgroups(g, p)]
+                assert ours == walk, g
+                cases += 1
+        assert cases == 90
+
+    def test_rows_built_once_on_leading_factors(self, monkeypatch):
+        # Addition rows are built only over the groups of a component's
+        # leading factors, at most once per (group, element), and never
+        # the |G|^2 table; a cyclic group needs none at all.
         built = []
         add_row = FiniteAbelianGroup._add_row
 
         def counted(group, x):
             row = add_row(group, x)
-            built.append(len(row))
+            built.append((group.factors, x, len(row)))
             return row
 
         monkeypatch.setattr(FiniteAbelianGroup, "_add_row", counted)
-        for g in (Z([5**3]), Z([3**5])):
+        for g in (Z([5**3]), Z([3**5]), Z([2] * 6), Z([2, 4, 8]), Z([2, 2, 3, 9])):
             built.clear()
-            subs = enumerate_subgroups(g)
-            assert len(built) == len(subs) - 1 < g.order
-            assert sum(built) < g.order**2
-        elementary = Z([2] * 6)
-        built.clear()
-        enumerate_subgroups(elementary)
-        assert len(built) < elementary.order
+            enumerate_subgroups(g)
+            if g.rank == 1:
+                assert built == []
+            leading = {part.factors[:i] for _, part, _ in g.primary_components() for i in range(part.rank)}
+            assert {factors for factors, _, _ in built} <= leading, g
+            assert len({(factors, x) for factors, x, _ in built}) == len(built), g
+            assert sum(size for _, _, size in built) < g.order**2, g
 
     def test_subgroups_carry_their_element_masks(self):
         groups = isomorphism_classes_upto(64) + [Z([2, 4, 3, 5]), Z([3, 9, 5]), Z([2, 2, 3, 3, 5])]
