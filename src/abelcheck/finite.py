@@ -1,8 +1,8 @@
 """Exhaustive ground truth on finite abelian groups.
 
 Everything here is brute force on purpose: subgroup enumeration builds
-the full lattice, purity tests the defining equation for every divisor
-of the exponent, extension problems are solved two independent ways
+the full lattice, purity tests nH = H meet nG by sizes for each divisor
+n of the exponent, extension problems are solved two independent ways
 (integer congruence systems via Smith normal form, and plain
 enumeration of all homomorphisms), and so are direct summands
 (complement search in the enumerated lattice for the pure-split sweep,
@@ -20,13 +20,13 @@ added up one by one, and none of the pure or summand theorems the oracle
 checks is used.
 
 Groups are direct sums of cyclic groups of prime-power order; elements
-are residue tuples matching the factor list.
+are residue tuples with mixed-radix codes, subgroups bitmasks of codes.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import product
+from itertools import compress, count, product
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
@@ -52,7 +52,7 @@ class FiniteAbelianGroup:
     'Z2 x Z4 x Z3'
     """
 
-    __slots__ = ("factors", "_strides", "_cache")
+    __slots__ = ("factors", "order", "_strides", "_cache")
 
     def __init__(self, orders: Iterable[int] = ()):
         refined: list[tuple[int, int]] = []
@@ -69,6 +69,7 @@ class FiniteAbelianGroup:
             strides.append(acc)
             acc *= m
         self._strides = tuple(strides)
+        self.order = acc
         self._cache: dict = {}
 
     # -- identity -----------------------------------------------------------
@@ -111,10 +112,6 @@ class FiniteAbelianGroup:
         return cls(orders)
 
     # -- sizes --------------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return prod(self.factors) if self.factors else 1
 
     @property
     def exponent(self) -> int:
@@ -228,13 +225,14 @@ class FiniteAbelianGroup:
 
 
 class Subgroup:
-    """Subgroup of a FiniteAbelianGroup, stored as its full element set.
-
-    Subgroups from ``enumerate_subgroups`` also carry ``_mask``, the
-    element bitmask (bit c set for code c) the enumeration built.
+    """Subgroup of a FiniteAbelianGroup, stored as its element bitmask
+    ``_mask`` (bit c set for code c): order, membership, equality and
+    hashing read the mask alone.  ``codes``, the frozenset of element
+    codes, is built from the mask on first read and kept; subgroups built
+    from an element set keep that set, the others start without one.
     """
 
-    __slots__ = ("group", "codes", "_gens", "_mask")
+    __slots__ = ("group", "_mask", "_codes", "_gens")
 
     def __init__(self, group: FiniteAbelianGroup, elements: Iterable[Element]):
         codes = frozenset(group.encode(group.validate_element(a)) for a in elements)
@@ -250,51 +248,52 @@ class Subgroup:
                 if any(add(x, y) not in codes for y in codes):
                     raise NotASubgroup("element set is not closed under addition")
                 _adjoin(group, span, x)
-        self.group = group
-        self.codes = codes
-        self._gens: list[Element] | None = None
-        self._mask: int | None = None
+        self.group, self._mask, self._codes, self._gens = group, _mask_of(codes), codes, None
 
     @classmethod
-    def _from_codes(cls, group: FiniteAbelianGroup, codes: frozenset[int],
-                    mask: int | None = None) -> "Subgroup":
+    def _from_mask(cls, group: FiniteAbelianGroup, mask: int, codes: frozenset[int] | None = None) -> "Subgroup":
         obj = object.__new__(cls)
-        obj.group = group
-        obj.codes = codes
-        obj._gens = None
-        obj._mask = mask
+        obj.group, obj._mask, obj._codes, obj._gens = group, mask, codes, None
         return obj
 
     @classmethod
     def generated_by(cls, group: FiniteAbelianGroup, gens: Iterable[Element]) -> "Subgroup":
-        codes = _closure_codes(group, [group.encode(group.validate_element(g)) for g in gens])
-        return cls._from_codes(group, codes)
+        span = {0}
+        for g in gens:
+            _adjoin(group, span, group.encode(group.validate_element(g)))
+        return cls._from_mask(group, _mask_of(span), frozenset(span))
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        return cls._from_codes(group, frozenset([0]))
+        return cls._from_mask(group, 1)
 
     @classmethod
     def whole(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        return cls._from_codes(group, frozenset(range(group.order)))
+        return cls._from_mask(group, (1 << group.order) - 1)
+
+    @property
+    def codes(self) -> frozenset[int]:
+        if self._codes is None:
+            self._codes = frozenset(_set_bits(self._mask))
+        return self._codes
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        return self._mask.bit_count()
 
     def elements(self) -> list[Element]:
         return sorted(self.group.decode(c) for c in self.codes)
 
     def __contains__(self, a: Element) -> bool:
-        return self.group.encode(self.group.validate_element(a)) in self.codes
+        return bool(self._mask >> self.group.encode(self.group.validate_element(a)) & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.group == other.group and self.codes == other.codes
+        return self.group == other.group and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash((self.group, self.codes))
+        return hash((self.group, self._mask))
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generating_set()) or "0"
@@ -307,16 +306,26 @@ class Subgroup:
             order = g._code_order
             span = {0}
             chosen: list[int] = []
-            by_order = sorted(self.codes, key=lambda c: (-order(c), c))
+            by_order = sorted(_set_bits(self._mask), key=lambda c: (-order(c), c))
             for code in by_order:
                 if code in span:
                     continue
                 chosen.append(code)
                 _adjoin(g, span, code)
-                if len(span) == len(self.codes):
+                if len(span) == self.order:
                     break
             self._gens = [g.decode(c) for c in chosen]
         return list(self._gens)
+
+
+def _mask_of(codes: Iterable[int]) -> int:
+    """The element bitmask of a set of codes."""
+    return sum([1 << c for c in codes])
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The codes set in an element bitmask, increasing: its binary digits lowest first, 0s as NUL bytes."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().replace(b"0", b"\0")))
 
 
 def _adjoin(group: FiniteAbelianGroup, span: set[int], g: int) -> None:
@@ -334,13 +343,6 @@ def _adjoin(group: FiniteAbelianGroup, span: set[int], g: int) -> None:
         x = add(x, g)
 
 
-def _closure_codes(group: FiniteAbelianGroup, gen_codes: list[int]) -> frozenset[int]:
-    span = {0}
-    for g in gen_codes:
-        _adjoin(group, span, g)
-    return frozenset(span)
-
-
 def _require_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> None:
     if not isinstance(h, Subgroup) or h.group != g:
         raise NotASubgroup(f"{h!r} is not a subgroup of {g}")
@@ -350,9 +352,9 @@ def _require_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> None:
 # Subgroup enumeration.
 
 
-def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[tuple[int, list[int]]]:
-    """All subgroups of a p-group, each as (element bitmask, its codes),
-    sorted by (order, mask).
+def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[int]:
+    """All subgroups of a p-group as element bitmasks (bit c set for
+    code c), sorted by (order, mask).
 
     Factor by factor: write the group as G' + Z(q), q = p^e, with Z(q)
     the factor added last, so (a, t) has code code'(a) + |G'|*t.  A
@@ -361,16 +363,18 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[tuple[int, list[
     each such triple gives H = union over k of (H' + k*c) x {k*p^j}.
     So each subgroup H' of G' is extended once per coset c + H', c its
     first code, and per p^j with p^(e-j) at least the order of c + H'.
-    The row of c over G' is built once and only for such c.
+    The row of c over G' is built once and only for such c.  The cosets
+    are translated as code lists, so each level keeps its subgroups'
+    codes for the next factor to read; the last factor builds masks only.
     """
-    found = [(1, [0])]  # the trivial group's one subgroup: bit 0, code 0
+    found, members_of = [1], [[0]]  # the trivial group's one subgroup: bit 0, code 0
     for i, q in enumerate(part.factors):
         prefix = FiniteAbelianGroup(part.factors[:i])
         n = prefix.order
         full = (1 << n) - 1
         rows: dict[int, list[int]] = {}
-        grown = []
-        for sub_mask, members in found:
+        grown, grown_codes = [], []
+        for sub_mask, members in zip(found, members_of):
             reached = 0  # the cosets of H' handled so far
             while reached != full:
                 c = ((reached + 1) & ~reached).bit_length() - 1  # first code not reached
@@ -381,23 +385,21 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[tuple[int, list[
                 coset, x = members, c
                 while not sub_mask >> x & 1:
                     coset = [row[y] for y in coset]
-                    cosets.append((coset, sum([1 << y for y in coset])))
+                    cosets.append((coset, _mask_of(coset)))
                     x = row[x]
                 reached |= cosets[1][1] if c else sub_mask
                 period = len(cosets)
                 step = 1  # p^j
                 while step * period <= q:
-                    mask = 0
-                    codes: list[int] = []
+                    stride, mask = n * step, 0
                     for k in range(q // step):
-                        coset, coset_mask = cosets[k % period]
-                        offset = n * k * step
-                        mask |= coset_mask << offset
-                        codes += [y + offset for y in coset]
-                    grown.append((mask, codes))
+                        mask |= cosets[k % period][1] << k * stride
+                    grown.append(mask)
+                    if i < part.rank - 1:  # a later factor reads the codes
+                        grown_codes.append([y + k * stride for k in range(q // step) for y in cosets[k % period][0]])
                     step *= p
-        found = grown
-    found.sort(key=lambda sub: (sub[0].bit_count(), sub[0]))
+        found, members_of = grown, grown_codes
+    found.sort(key=lambda mask: (mask.bit_count(), mask))
     return found
 
 
@@ -411,30 +413,29 @@ def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list
     is the union of cosets of a subgroup of the earlier factors, and its
     elements are added up one by one, with no theorem about purity or
     summands assumed, so the list stays a brute force ground truth.
-    Within a p-group the order is by (order, element bitmask); each
-    subgroup carries its bitmask over the codes of g.
+    Within a p-group the order is by (order, element bitmask).  Every
+    subgroup is its bitmask over the codes of g; no element set is built.
     """
     limit = DEFAULT_ORDER_BOUND if bound is None else bound
     if g.order > limit:
         raise BoundExceeded(f"|G| = {g.order} exceeds the bound {limit}")
     comps = g.primary_components()
     if not comps:
-        return [Subgroup._from_codes(g, frozenset([0]), 1)]
+        return [Subgroup._from_mask(g, 1)]
 
     # The components occupy consecutive coordinates in order, so an
     # element's code is the sum of its component codes, each times the
-    # order of all earlier components; a mask is the union of the earlier
-    # components' mask shifted by each such offset.
+    # order of all earlier components: a mask is the earlier components'
+    # mask shifted by each such offset, one per set bit of the next's.
     per_comp = [_pgroup_subgroups(part, p) for p, part, _ in comps]
+    later = [[_set_bits(mask) for mask in masks] for masks in per_comp[1:]]
     out: list[Subgroup] = []
-    for combo in product(*per_comp):
-        mask, codes = combo[0]
+    for mask, *members in product(per_comp[0], *later):
         base = comps[0][1].order
-        for (_, part, _), (_, members) in zip(comps[1:], combo[1:]):
-            mask = sum(mask << base * e for e in members)
-            codes = [c + base * e for e in members for c in codes]
+        for (_, part, _), codes in zip(comps[1:], members):
+            mask = sum([mask << base * e for e in codes])
             base *= part.order
-        out.append(Subgroup._from_codes(g, frozenset(codes), mask))
+        out.append(Subgroup._from_mask(g, mask))
     return out
 
 
@@ -446,16 +447,21 @@ def is_pure_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> bool:
     """nH = H intersect nG for every integer n.
 
     nG depends only on n modulo the exponent and only through gcd, so
-    checking the divisors of exponent(G) covers every integer.
+    checking the divisors of exponent(G) covers every integer.  It is
+    tested by sizes: nH lies in H meet nG, and multiplication by n maps H
+    onto nH with kernel H meet G[n] = {x in H : n*x = 0}, so the two are
+    equal exactly when |H meet nG| * |H meet G[n]| = |H|.  With nG and
+    G[n] as element masks, each size is the bit count of an AND.
     """
     _require_subgroup(h, g)
     tables = g._cache.get("purity")
-    if tables is None:  # (multiplication by n, nG) for each divisor n > 1
+    if tables is None:  # (nG, G[n]) as element masks for each divisor n > 1
         maps = [g._scalar_code_map(n) for n in divisors(g.exponent) if n > 1]
-        tables = g._cache["purity"] = [(smap, frozenset(smap)) for smap in maps]
-    codes = h.codes
-    for smap, multiples in tables:
-        if {smap[c] for c in codes} != codes & multiples:
+        tables = g._cache["purity"] = [(_mask_of(set(smap)), _mask_of(x for x, nx in enumerate(smap) if not nx))
+                                       for smap in maps]
+    mask, size = h._mask, h.order
+    for multiples, killed in tables:
+        if (mask & multiples).bit_count() * (mask & killed).bit_count() != size:
             return False
     return True
 
@@ -601,7 +607,7 @@ def _validated_instance(f: Mapping[Element, Element], h: Subgroup,
             raise NotASubgroup(f"{ge} is not in the given subgroup")
     for im in images:
         m.validate_element(im)
-    if _closure_codes(g, [g.encode(ge) for ge in gens]) != h.codes:
+    if Subgroup.generated_by(g, gens)._mask != h._mask:
         raise ValueError("the map's keys do not generate the subgroup")
     for row in _relation_rows(g, gens):
         if _combo(m, row, images) != m.zero():
@@ -723,8 +729,7 @@ def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
 
 
 def _masks_by_order(subgroups: Iterable[Subgroup]) -> dict[int, list[int]]:
-    """The enumerated subgroups' element bitmasks, bucketed by subgroup
-    order."""
+    """The enumerated subgroups' element bitmasks, bucketed by order."""
     by_order: dict[int, list[int]] = {}
     for k in subgroups:
         by_order.setdefault(k.order, []).append(k._mask)
@@ -736,7 +741,10 @@ def _has_complement(mask: int, candidates: Iterable[int]) -> bool:
     alone (bit 0 is the identity's).  With the candidates the subgroups
     of order |G|/|H|, that is H + K = G with H and K meeting in 0: H is a
     direct summand with complement K."""
-    return any(mask & k == 1 for k in candidates)
+    for k in candidates:
+        if mask & k == 1:
+            return True
+    return False
 
 
 def first_pure_non_summand(n: FiniteAbelianGroup, bound: int | None = None) -> Subgroup | None:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, count
 from math import gcd
 
@@ -335,20 +336,22 @@ class TestEnumeration:
             assert len(enumerate_subgroups(g)) == butler_subgroup_count(g, p), g
 
     def test_matches_index_p_walk(self):
-        # Same (mask, codes) lists in the same order as the reference walk
-        # on every abelian p-group of order at most 256, 243, 125 and 49
-        # for p = 2, 3, 5, 7, apart from Z2^7, Z2^6 x Z4 and Z2^8, where
-        # the walk alone takes 1.5, 3.7 and 37 s (2-core x86 VM, Python
-        # 3.11).
+        # Same mask lists in the same order as the reference walk on every
+        # abelian p-group of order at most 256, 243, 125 and 49 for
+        # p = 2, 3, 5, 7, apart from Z2^7, Z2^6 x Z4 and Z2^8, where the
+        # walk alone takes 1.5, 3.7 and 37 s (2-core x86 VM, Python 3.11).
+        # The walk adds up each subgroup's codes, and every mask it
+        # returns is the sum of 1 << c over those codes.
         slow = {(2,) * 7, (2,) * 6 + (4,), (2,) * 8}
         cases = 0
         for p, top in ((2, 256), (3, 243), (5, 125), (7, 49)):
             for g in p_groups(p, top):
                 if g.factors in slow:
                     continue
-                ours = [(mask, sorted(codes)) for mask, codes in finite._pgroup_subgroups(g, p)]
-                walk = [(mask, sorted(codes)) for mask, codes in walk_subgroups(g, p)]
-                assert ours == walk, g
+                walk = walk_subgroups(g, p)
+                for mask, codes in walk:
+                    assert mask == sum(1 << c for c in codes), g
+                assert finite._pgroup_subgroups(g, p) == [mask for mask, _ in walk], g
                 cases += 1
         assert cases == 90
 
@@ -380,6 +383,20 @@ class TestEnumeration:
         for g in groups:
             for h in enumerate_subgroups(g):
                 assert h._mask == sum(1 << c for c in h.codes), (g, h)
+
+    def test_lattice_keeps_no_element_sets(self):
+        # Enumerated subgroups are bitmasks: Z2^6's 2825 of them keep
+        # 0.4 MB (2.1 MB with a frozenset of codes next to each mask).
+        g = Z([2] * 6)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            subs = enumerate_subgroups(g)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(subs) == 2825
+        assert kept < 2**20, f"enumerate_subgroups(Z2^6) keeps {kept} bytes"
 
     def test_deterministic_order(self):
         g = Z([2, 4, 3])
@@ -423,6 +440,34 @@ class TestSubgroupObject:
         assert h.order == 4
         assert (1, 1) in h and (0, 2) in h
 
+    def test_masks_behave_as_element_sets(self):
+        # Every subgroup of every group of order <= 64, and the same
+        # subgroups built by Subgroup(...), generated_by, trivial and
+        # whole: order, membership, elements, codes, equality and hashing
+        # all agree with the element set.  Enumerated subgroups hold no
+        # element set until ``codes`` is read, then keep the one built.
+        subgroups = 0
+        for g in isomorphism_classes_upto(64):
+            subs = enumerate_subgroups(g)
+            assert all(h._codes is None for h in subs), g
+            index = {h: i for i, h in enumerate(subs)}
+            assert len(index) == len(subs), g
+            everything = g.elements()
+            for i, h in enumerate(subs):
+                elements = set(h.elements())
+                assert len(elements) == h.order, (g, h)
+                assert [a in h for a in everything] == [a in elements for a in everything], (g, h)
+                assert h.codes == {g.encode(a) for a in elements} and h.codes is h.codes, (g, h)
+                assert h.elements() == sorted(elements), (g, h)
+                for twin in (Subgroup(g, elements), Subgroup.generated_by(g, h.generating_set())):
+                    assert twin == h and hash(twin) == hash(h) and index[twin] == i, (g, h)
+                    assert twin.codes == h.codes and twin.order == h.order, (g, h)
+            assert index[Subgroup.trivial(g)] == 0 and index[Subgroup.whole(g)] == len(subs) - 1, g
+            subgroups += len(subs)
+        assert subgroups == 6022
+        assert Subgroup.trivial(Z([4])) != Subgroup.trivial(Z([2, 2]))
+        assert Subgroup.whole(Z([4])) != Subgroup.whole(Z([2, 2]))
+
     def test_generating_set_regenerates(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -441,10 +486,14 @@ class TestPurity:
         assert is_pure_subgroup(Subgroup.whole(g), g)
 
     def test_matches_definition_oracle(self):
-        for orders in ([2, 4], [8], [4, 4], [2, 2, 3], [2, 9]):
-            g = Z(orders)
+        # Every subgroup of every group of order <= 32.
+        verdicts = {True: 0, False: 0}
+        for g in isomorphism_classes_upto(32):
             for h in enumerate_subgroups(g):
-                assert is_pure_subgroup(h, g) == pure_by_definition(h, g)
+                pure = is_pure_subgroup(h, g)
+                assert pure == pure_by_definition(h, g), (g, h)
+                verdicts[pure] += 1
+        assert verdicts == {True: 907, False: 123}
 
     def test_wrong_parent_rejected(self):
         g, other = Z([4]), Z([8])
