@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from itertools import compress, count, product
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .arith import divisors, factorize, partitions
 from .characteristics import INF, Height
@@ -226,13 +226,12 @@ class FiniteAbelianGroup:
 
 class Subgroup:
     """Subgroup of a FiniteAbelianGroup, stored as its element bitmask
-    ``_mask`` (bit c set for code c): order, membership, equality and
-    hashing read the mask alone.  ``codes``, the frozenset of element
-    codes, is built from the mask on first read and kept; subgroups built
-    from an element set keep that set, the others start without one.
+    ``_mask`` (bit c set for code c) and nothing else: order, membership,
+    equality and hashing read the mask, and ``codes`` and ``elements()``
+    decode it.  A mask takes |G|/8 bytes whatever the subgroup's size.
     """
 
-    __slots__ = ("group", "_mask", "_codes", "_gens")
+    __slots__ = ("group", "_mask", "_gens")
 
     def __init__(self, group: FiniteAbelianGroup, elements: Iterable[Element]):
         codes = frozenset(group.encode(group.validate_element(a)) for a in elements)
@@ -248,12 +247,12 @@ class Subgroup:
                 if any(add(x, y) not in codes for y in codes):
                     raise NotASubgroup("element set is not closed under addition")
                 _adjoin(group, span, x)
-        self.group, self._mask, self._codes, self._gens = group, _mask_of(codes), codes, None
+        self.group, self._mask, self._gens = group, _mask_of(codes), None
 
     @classmethod
-    def _from_mask(cls, group: FiniteAbelianGroup, mask: int, codes: frozenset[int] | None = None) -> "Subgroup":
+    def _from_mask(cls, group: FiniteAbelianGroup, mask: int) -> "Subgroup":
         obj = object.__new__(cls)
-        obj.group, obj._mask, obj._codes, obj._gens = group, mask, codes, None
+        obj.group, obj._mask, obj._gens = group, mask, None
         return obj
 
     @classmethod
@@ -261,7 +260,7 @@ class Subgroup:
         span = {0}
         for g in gens:
             _adjoin(group, span, group.encode(group.validate_element(g)))
-        return cls._from_mask(group, _mask_of(span), frozenset(span))
+        return cls._from_mask(group, _mask_of(span))
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
@@ -273,16 +272,14 @@ class Subgroup:
 
     @property
     def codes(self) -> frozenset[int]:
-        if self._codes is None:
-            self._codes = frozenset(_set_bits(self._mask))
-        return self._codes
+        return frozenset(_set_bits(self._mask))
 
     @property
     def order(self) -> int:
         return self._mask.bit_count()
 
     def elements(self) -> list[Element]:
-        return sorted(self.group.decode(c) for c in self.codes)
+        return sorted(map(self.group.decode, _set_bits(self._mask)))
 
     def __contains__(self, a: Element) -> bool:
         return bool(self._mask >> self.group.encode(self.group.validate_element(a)) & 1)
@@ -318,9 +315,25 @@ class Subgroup:
         return list(self._gens)
 
 
-def _mask_of(codes: Iterable[int]) -> int:
-    """The element bitmask of a set of codes."""
-    return sum([1 << c for c in codes])
+def _mask_of(codes: Collection[int]) -> int:
+    """The element bitmask of a nonempty set of codes, in time linear in its
+    largest code: a sum of at most 32 powers of two, else one digit per code."""
+    if len(codes) <= 32:
+        return sum([1 << c for c in codes])
+    digits = bytearray(b"0") * (max(codes) + 1)
+    for c in codes:
+        digits[c] = 49  # "1"
+    return int(digits[::-1], 2)
+
+
+def _digit_mask(g: FiniteAbelianGroup, steps: Iterable[int]) -> int:
+    """The mask of the elements whose digit in each factor Z(m) is a multiple
+    of its step (a divisor of m): per factor, the mask so far padded to
+    step*|H| binary digits, repeated m/step times."""
+    digits = "1"
+    for m, step in zip(g.factors, steps):
+        digits = digits.zfill(len(digits) * step) * (m // step)
+    return int(digits, 2)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -451,14 +464,15 @@ def is_pure_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> bool:
     tested by sizes: nH lies in H meet nG, and multiplication by n maps H
     onto nH with kernel H meet G[n] = {x in H : n*x = 0}, so the two are
     equal exactly when |H meet nG| * |H meet G[n]| = |H|.  With nG and
-    G[n] as element masks, each size is the bit count of an AND.
+    G[n] as element masks, each size is the bit count of an AND.  In Z(m),
+    nZ(m) is the multiples of gcd(n, m) and Z(m)[n] those of m/gcd(n, m).
     """
     _require_subgroup(h, g)
     tables = g._cache.get("purity")
     if tables is None:  # (nG, G[n]) as element masks for each divisor n > 1
-        maps = [g._scalar_code_map(n) for n in divisors(g.exponent) if n > 1]
-        tables = g._cache["purity"] = [(_mask_of(set(smap)), _mask_of(x for x, nx in enumerate(smap) if not nx))
-                                       for smap in maps]
+        tables = g._cache["purity"] = [(_digit_mask(g, [gcd(n, m) for m in g.factors]),
+                                        _digit_mask(g, [m // gcd(n, m) for m in g.factors]))
+                                       for n in divisors(g.exponent) if n > 1]
     mask, size = h._mask, h.order
     for multiples, killed in tables:
         if (mask & multiples).bit_count() * (mask & killed).bit_count() != size:
@@ -825,25 +839,12 @@ def isomorphism_classes_of_order(n: int) -> list[FiniteAbelianGroup]:
     """All abelian groups of order n, one per isomorphism class."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return [FiniteAbelianGroup([])]
-    per_prime = []
-    for p, e in sorted(factorize(n).items()):
-        per_prime.append([[p**part for part in parts] for parts in partitions(e)])
-    out = []
-    for combo in product(*per_prime):
-        factors: list[int] = []
-        for chunk in combo:
-            factors.extend(chunk)
-        out.append(FiniteAbelianGroup(factors))
-    return out
+    per_prime = [[[p**part for part in parts] for parts in partitions(e)] for p, e in sorted(factorize(n).items())]
+    return [FiniteAbelianGroup([m for chunk in combo for m in chunk]) for combo in product(*per_prime)]
 
 
 def isomorphism_classes_upto(max_order: int) -> list[FiniteAbelianGroup]:
-    out = []
-    for n in range(1, max_order + 1):
-        out.extend(isomorphism_classes_of_order(n))
-    return out
+    return [g for n in range(1, max_order + 1) for g in isomorphism_classes_of_order(n)]
 
 
 __all__ = [

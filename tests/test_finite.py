@@ -250,21 +250,48 @@ class TestGroupBasics:
                 assert g._code_order(x) == g.element_order(g.decode(x))
 
     def test_small_subgroup_of_large_group_stays_cheap(self):
-        # Work on one subgroup must follow the subgroup, not the group:
-        # nothing here may build a |G|^2 table or a per-element array.
-        g = Z([10**5])
-        h = Subgroup.generated_by(g, [(16, 0)])
-        assert h.order == 2
-        assert Subgroup(g, [(0, 0), (16, 0)]) == h
-        assert quotient(g, h) == Z([16, 3125])
-        assert not is_direct_summand(h, g)
-        assert not hom_extends({(16, 0): (1,)}, h, g, Z([2]))
-        big = Z([2**20])
-        k = Subgroup.generated_by(big, [(2**18,)])
-        assert quotient(big, k) == Z([2**18])
-        assert k.generating_set() == [(2**18,)]
+        # A subgroup is its |G|-bit mask, so work on one subgroup may take
+        # a few bytes per element of G, but nothing here may build a |G|^2
+        # table or a list over G (8 bytes per element at least): in
+        # Z(2^20) this peaks at 1.6 MB, the binary digits of one mask.
+        tracemalloc.start()
+        try:
+            g = Z([10**5])
+            h = Subgroup.generated_by(g, [(16, 0)])
+            assert h.order == 2
+            assert Subgroup(g, [(0, 0), (16, 0)]) == h
+            assert quotient(g, h) == Z([16, 3125])
+            assert not is_direct_summand(h, g)
+            assert not hom_extends({(16, 0): (1,)}, h, g, Z([2]))
+            big = Z([2**20])
+            k = Subgroup.generated_by(big, [(2**18,)])
+            assert quotient(big, k) == Z([2**18])
+            assert k.generating_set() == [(2**18,)]
+            assert (0,) in k and (1,) not in k
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"work on 2-element subgroups of Z(2^20) peaks at {peak} bytes"
         assert len(g._cache.get("orders", {})) <= h.order
         assert len(big._cache.get("orders", {})) <= k.order
+
+    def test_large_subgroup_of_large_group_stays_linear(self):
+        # <2> in Z(2^14) has 2^13 elements.  Its set, order table and
+        # mask peak at 1.8 MB; summing one shifted power of two per
+        # element took 27 MB, and a table of multiplication by n per
+        # divisor n for purity 11 MB.
+        g = Z([2**14])
+        tracemalloc.start()
+        try:
+            h = Subgroup.generated_by(g, [(2,)])
+            assert h.order == 2**13 and (4,) in h and (3,) not in h
+            assert not is_pure_subgroup(h, g)
+            assert quotient(g, h) == Z([2])
+            assert not hom_extends({(2,): (1,)}, h, g, Z([2]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"work on <2> in Z(2^14) peaks at {peak} bytes"
 
     def test_scalar_code_map_matches_tuple_arithmetic(self):
         for g in isomorphism_classes_upto(64):
@@ -444,12 +471,10 @@ class TestSubgroupObject:
         # Every subgroup of every group of order <= 64, and the same
         # subgroups built by Subgroup(...), generated_by, trivial and
         # whole: order, membership, elements, codes, equality and hashing
-        # all agree with the element set.  Enumerated subgroups hold no
-        # element set until ``codes`` is read, then keep the one built.
+        # all agree with the element set.
         subgroups = 0
         for g in isomorphism_classes_upto(64):
             subs = enumerate_subgroups(g)
-            assert all(h._codes is None for h in subs), g
             index = {h: i for i, h in enumerate(subs)}
             assert len(index) == len(subs), g
             everything = g.elements()
@@ -457,7 +482,7 @@ class TestSubgroupObject:
                 elements = set(h.elements())
                 assert len(elements) == h.order, (g, h)
                 assert [a in h for a in everything] == [a in elements for a in everything], (g, h)
-                assert h.codes == {g.encode(a) for a in elements} and h.codes is h.codes, (g, h)
+                assert h.codes == {g.encode(a) for a in elements}, (g, h)
                 assert h.elements() == sorted(elements), (g, h)
                 for twin in (Subgroup(g, elements), Subgroup.generated_by(g, h.generating_set())):
                     assert twin == h and hash(twin) == hash(h) and index[twin] == i, (g, h)
