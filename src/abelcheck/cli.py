@@ -7,7 +7,10 @@ replays the oracle's internal consistency suites on random instances.
 Exit codes: 0 ok, 2 parse error, 3 bound exceeded, 4 invariant
 violation.  JSON output is byte-identical for identical inputs and
 seed; wall-clock timing therefore only appears in human-readable
-output (the JSON envelope carries ``timing_ms: null``).
+output (the JSON envelope carries ``timing_ms: null``).  Every JSON
+document, on stdout and in crosscheck's stderr dump, comes from one
+writer, ``_dumps``, whose output matches the stdlib's ``json.dumps``
+at ``indent=2`` byte for byte.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import random
 import sys
 import time
-from math import prod
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf, prod
 
 from . import __version__, finite
 from .deciders import is_poor, is_pure_split, pi_poor_necessary
@@ -49,9 +52,90 @@ def _envelope(command: str, raw_input: str, result: dict) -> dict:
     }
 
 
+def _write_json(obj, out: list[str], indent: str) -> None:
+    """Append the pieces of ``obj``'s JSON text to ``out``; ``indent`` is
+    the indentation of the line ``obj`` starts on.  Container items that
+    are strings, booleans, None or ints are written in place, without a
+    call."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{\n" + inner
+        comma = ",\n" + inner
+        for key, value in obj.items():
+            cls = type(value)
+            if cls is str:
+                out.append(head + _quote(key) + ": " + _quote(value))
+            elif cls is bool:
+                out.append(head + _quote(key) + (": true" if value else ": false"))
+            elif value is None:
+                out.append(head + _quote(key) + ": null")
+            elif cls is int:
+                out.append(head + _quote(key) + ": " + int.__repr__(value))
+            else:
+                out.append(head + _quote(key) + ": ")
+                _write_json(value, out, inner)
+            head = comma
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        head = "[\n" + inner
+        comma = ",\n" + inner
+        for value in obj:
+            cls = type(value)
+            if cls is str:
+                out.append(head + _quote(value))
+            elif cls is int:
+                out.append(head + int.__repr__(value))
+            else:
+                out.append(head)
+                _write_json(value, out, inner)
+            head = comma
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            out.append("NaN")
+        elif obj == inf:
+            out.append("Infinity")
+        elif obj == -inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """The stdlib's ``json.dumps`` at ``indent=2``, byte for byte, for
+    dicts with str keys, lists, tuples, str, numbers, booleans and None.
+
+    The stdlib's C encoder cannot indent, so ``indent=2`` runs its
+    pure-Python generator encoder; this writer quotes strings with the C
+    ``encode_basestring_ascii`` and joins the pieces once.
+    """
+    out: list[str] = []
+    _write_json(obj, out, "")
+    return "".join(out)
+
+
 def _emit(envelope: dict, as_json: bool, human_lines: list[str], started: float) -> None:
     if as_json:
-        print(json.dumps(envelope, indent=2))
+        print(_dumps(envelope))
     else:
         for line in human_lines:
             print(line)
@@ -81,26 +165,29 @@ def cmd_analyze(args) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    preds = structural_predicates(group)
+    canonical = render(group)
+    predicates = structural_predicates(group).to_dict()
     poor = is_poor(group)
     pure_split = is_pure_split(group)
     necessary = pi_poor_necessary(group)
     result = {
         "expression": text,
-        "canonical": render(group),
-        "predicates": preds.to_dict(),
+        "canonical": canonical,
+        "predicates": predicates,
         "poor": poor.to_dict(),
         "pure_split": pure_split.to_dict(),
         "pi_poor_necessary": necessary.to_dict(),
     }
-    lines = [
-        f"expression: {text}",
-        f"canonical : {render(group)}",
-        "predicates: " + " ".join(f"{k.removeprefix('is_')}={str(v).lower()}" for k, v in preds.to_dict().items()),
-    ]
-    lines += _decision_lines("poor", poor)
-    lines += _decision_lines("pure_split", pure_split)
-    lines += _decision_lines("pi_poor_necessary", necessary)
+    lines = []
+    if not args.json:
+        lines = [
+            f"expression: {text}",
+            f"canonical : {canonical}",
+            "predicates: " + " ".join(f"{k.removeprefix('is_')}={str(v).lower()}" for k, v in predicates.items()),
+        ]
+        lines += _decision_lines("poor", poor)
+        lines += _decision_lines("pure_split", pure_split)
+        lines += _decision_lines("pi_poor_necessary", necessary)
     _emit(_envelope("analyze", text, result), args.json, lines, started)
     return 0
 
@@ -327,7 +414,7 @@ def cmd_crosscheck(args) -> int:
     ]
     _emit(_envelope("crosscheck", f"seed={args.seed}", result), args.json, lines, started)
     if total_failures:
-        print(json.dumps({"counterexamples": failures[:10]}, indent=2), file=sys.stderr)
+        print(_dumps({"counterexamples": failures[:10]}), file=sys.stderr)
         return 4
     return 0
 

@@ -548,6 +548,8 @@ def _extension_exists(g: FiniteAbelianGroup, gen_coords: list[Element],
     search stops at the first assignment that does not extend.
     """
     t = len(gen_coords)
+    if not t:
+        return True  # only the zero map is prescribed, and it extends
     r = g.rank
     # (coordinate of m, row of U reduced modulo d, d), for every d > 1.
     # The k*I block puts k in A's column lattice, so every d divides k.

@@ -408,7 +408,9 @@ def _sum_shapes(shapes: Iterable[LocalShape]) -> LocalShape:
             prufer = add_mult(prufer, shape.prufer)
         if shape.tower:
             tower = add_mult(tower, shape.tower)
-    return LocalShape.make(cyclic, prufer, tower)
+    # Sums of valid shapes are valid: build the shape directly, with the
+    # layers an OMEGA tower absorbs dropped as ``LocalShape.make`` would.
+    return LocalShape(() if tower is OMEGA else tuple(sorted(cyclic.items())), prufer, tower)
 
 
 def direct_sum(*groups: CanonicalGroup) -> CanonicalGroup:
@@ -471,12 +473,17 @@ class StructuralSummary:
 
 
 def structural_predicates(g: CanonicalGroup) -> StructuralSummary:
+    """Read off the canonical form: g is divisible when its reduced part
+    is zero (every rational summand has the all-infinite characteristic
+    and no shape has a cyclic layer or a tower), and reduced when its
+    divisible part is zero (no such rational summand, no Prufer part)."""
     shapes = [g.generic] + [shape for _, shape in g.exceptions]
+    all_infinite = [c.is_all_infinite for c, _ in g.rationals]
     return StructuralSummary(
         is_torsion=not g.rationals,
         is_torsion_free=not g.has_torsion(),
-        is_divisible=g.reduced_part().is_zero,
-        is_reduced=g.divisible_part().is_zero,
+        is_divisible=all(all_infinite) and not any(s.cyclic or s.tower for s in shapes),
+        is_reduced=not any(all_infinite) and not any(s.prufer for s in shapes),
         is_semisimple=not g.rationals and all(s.is_semisimple for s in shapes),
     )
 

@@ -7,6 +7,9 @@ it reads ``bench/`` and changes nothing there.
 """
 
 import importlib
+import io
+from argparse import Namespace
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +32,8 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
         finite = lib.finite
         assert not finite.is_relatively_injective(finite.FiniteAbelianGroup([2]),
                                                   finite.FiniteAbelianGroup([4]))
+        with redirect_stdout(io.StringIO()):
+            assert lib.cli.cmd_analyze(Namespace(expression="tower(2) + Q", json=True)) == 0
     for (module, attr), fn in originals.items():
         assert getattr(getattr(lib, module), attr) is fn, f"{module}.{attr} not restored"
 
@@ -38,3 +43,7 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     assert layers["finite.enumerate_subgroups.calls"] == 1
     assert layers["snf.integer_row_kernel.calls"] > 0
     assert layers["finite.homs_enumerated"] > 0
+    # JSON output is written through cli._emit, so the traced benchmark
+    # times it as the cli.emit span.
+    assert layers["cli.emit.calls"] == 1
+    assert layers["groups.structural_predicates.calls"] == 1

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from abelcheck import cli, finite
 from abelcheck.arith import factorize
@@ -99,6 +100,57 @@ class TestAnalyze:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest() == "aa32fa6f15cd88029d8dc4506f6cfde54e426c1e8135a4728af12e43fc09f348"
+
+
+    def test_analyze_human_output_is_golden(self, capsys, monkeypatch):
+        # Human-readable lines (timing dropped) on 200 expressions drawn by
+        # the benchmark's generator; recorded before JSON mode stopped
+        # building these lines.
+        monkeypatch.syspath_prepend(str(BENCH))
+        random_expression = importlib.import_module("workloads").random_expression
+        rng = random.Random(2025)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            code, out, _ = run(capsys, "analyze", random_expression(rng))
+            assert code == 0
+            digest.update("".join(line for line in out.splitlines(keepends=True)
+                                  if not line.startswith("timing:")).encode())
+        assert digest.hexdigest() == "6f175f5fc0f9883e422a899bbb43306976c9ecd6376989ea1aaf6c1827fc6a53"
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.floats(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "caf\u00e9 \u20ac \U0001f600", "\ud800", ""]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestDumps:
+    @settings(max_examples=200)
+    @given(JSON_VALUES)
+    @example({})
+    @example(())
+    @example({"a": {}, "b": [[], ()], "": [{}]})
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, -2**100, True, None])
+    def test_matches_stdlib_indent_2(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            cli._dumps({"a": {1, 2}})
 
 
 class TestOracle:
@@ -213,6 +265,7 @@ class TestCrosscheck:
         code, out, err = run(capsys, "crosscheck", "--seed", "1", "--count", "3", "--json")
         assert code == 4
         assert "counterexamples" in err
+        assert err == json.dumps(json.loads(err), indent=2) + "\n"
 
     def test_corrupted_solver_exits_4(self, capsys, monkeypatch):
         real = finite.hom_extends

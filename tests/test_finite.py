@@ -674,6 +674,16 @@ class TestHomExtension:
             checked += 1
         assert mixed >= 20
 
+    def test_trivial_subgroup_extends_without_elimination(self, monkeypatch):
+        # Only the zero map is prescribed on the trivial subgroup; deciding
+        # that it extends needs no Smith normal form.
+        def no_snf(a):
+            raise AssertionError("smith_normal_form called")
+        monkeypatch.setattr(finite, "smith_normal_form", no_snf)
+        g, m = Z([4, 2]), Z([8, 3])
+        assert hom_extends({}, Subgroup.trivial(g), g, m)
+        assert _extension_exists(g, [], [[], []], m)
+
     def test_bruteforce_cap(self):
         g = Z([2] * 6)
         h = Subgroup.trivial(g)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from abelcheck.groups import (
     structural_predicates,
     torsion_free_rank,
 )
+from abelcheck.parser import render
 
 from conftest import random_descriptor, random_group
 
@@ -175,14 +177,20 @@ class TestPredicates:
         assert q.is_torsion_free and q.is_divisible and not q.is_semisimple
 
     def test_flags_agree_with_extractors(self):
+        # The part extractors are the oracle: divisible means the reduced
+        # part is zero, reduced means the divisible part is zero.
         rng = random.Random(41)
-        for _ in range(300):
+        seen = {"divisible": set(), "reduced": set()}
+        for _ in range(2000):
             g = random_group(rng)
             s = structural_predicates(g)
             assert s.is_torsion == (g.torsion_free_part() == ZERO_GROUP)
             assert s.is_torsion_free == (g.torsion_part() == ZERO_GROUP)
-            assert s.is_reduced == (g.divisible_part() == ZERO_GROUP)
-            assert s.is_divisible == (g.reduced_part() == ZERO_GROUP)
+            assert s.is_reduced == g.divisible_part().is_zero
+            assert s.is_divisible == g.reduced_part().is_zero
+            seen["divisible"].add(s.is_divisible)
+            seen["reduced"].add(s.is_reduced)
+        assert seen == {"divisible": {True, False}, "reduced": {True, False}}
 
     def test_semisimple_primaries_are_bounded(self):
         rng = random.Random(43)
@@ -223,6 +231,23 @@ class TestSumAndIso:
 
 
 class TestLocalShape:
+    def test_sums_match_make(self):
+        # Shapes that direct_sum builds are in the normal form make()
+        # gives: sorted layers, none left beside an OMEGA tower.
+        rng = random.Random(59)
+        for _ in range(1000):
+            g = random_group(rng)
+            for shape in [g.generic] + [s for _, s in g.exceptions]:
+                assert shape == LocalShape.make(dict(shape.cyclic), shape.prufer, shape.tower)
+
+    def test_canonical_renders_are_golden(self):
+        # Recorded before direct_sum stopped calling LocalShape.make.
+        rng = random.Random(404)
+        digest = hashlib.sha256()
+        for _ in range(5000):
+            digest.update(render(canonicalize(random_descriptor(rng))).encode() + b"\n")
+        assert digest.hexdigest() == "7a42d6cba7f90a516d7929c8309b71596878802cec1a7a072fda3d9edaf28d32"
+
     def test_make_normalizes(self):
         s = LocalShape.make({2: 1, 3: 0})
         assert s.cyclic == ((2, 1),)
