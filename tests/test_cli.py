@@ -101,7 +101,6 @@ class TestAnalyze:
             digest.update(out.encode())
         assert digest.hexdigest() == "aa32fa6f15cd88029d8dc4506f6cfde54e426c1e8135a4728af12e43fc09f348"
 
-
     def test_analyze_human_output_is_golden(self, capsys, monkeypatch):
         # Human-readable lines (timing dropped) on 200 expressions drawn by
         # the benchmark's generator; recorded before JSON mode stopped
