@@ -55,38 +55,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def integer_det(a: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    rows, cols = _check_matrix(a)
-    if rows != cols:
-        raise ValueError("determinant needs a square matrix")
-    if rows == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    n = rows
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(a: IntMatrix) -> bool:
-    return abs(integer_det(a)) == 1
-
-
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, S, V) with U*a*V = S.
 
@@ -235,6 +203,6 @@ def linear_system_solvable(a: IntMatrix, b: list[int]) -> bool:
 
 
 __all__ = [
-    "IntMatrix", "identity_matrix", "mat_mul", "integer_det", "is_unimodular",
-    "smith_normal_form", "diagonal", "integer_row_kernel", "linear_system_solvable",
+    "IntMatrix", "identity_matrix", "mat_mul", "smith_normal_form", "diagonal",
+    "integer_row_kernel", "linear_system_solvable",
 ]

@@ -211,6 +211,13 @@ class TestOracle:
         assert code == 0
         assert env["result"]["rel_pure_inj"] is True
 
+    def test_rel_pure_inj_of_large_hom_spaces(self, capsys):
+        # |Hom(Z4^4, Z2^6)| = 2^24; the oracle checks a generating set.
+        code, env, _ = run_json(capsys, "oracle", "rel-pure-inj", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2",
+                                "Z4 x Z4 x Z4 x Z4", "--json")
+        assert code == 0
+        assert env["result"]["rel_pure_inj"] is True
+
     def test_snf(self, capsys):
         code, env, _ = run_json(capsys, "oracle", "snf", "2,4;6,8", "--json")
         assert code == 0

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import tracemalloc
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import gcd
 
 import pytest
@@ -20,7 +20,9 @@ from abelcheck.finite import (
     FiniteAbelianGroup,
     Subgroup,
     _all_homs_on_generators,
+    _combo,
     _extension_exists,
+    _hom_choices,
     abstract_presentation,
     element_height,
     enumerate_subgroups,
@@ -190,6 +192,25 @@ def p_groups(p, max_order):
         out += isomorphism_classes_of_order(order)
         order *= p
     return out
+
+
+def _every_hom_on_generators(k, m):
+    """Every hom k -> m once, as the images of k.generating_set() in order:
+    the full product of annihilator choices over k's invariant slots."""
+    _, choice_lists, coeff_rows = _hom_choices(k, m)
+    for picks in product(*choice_lists):
+        yield [_combo(m, coeffs, picks) for coeffs in coeff_rows]
+
+
+def rel_inj_by_every_hom(m, n, pure_only=False):
+    """Relative (pure-)injectivity with every hom of every (pure) subgroup
+    passed to the extension check, not just a generating set."""
+    for k in enumerate_subgroups(n):
+        if pure_only and not is_pure_subgroup(k, n):
+            continue
+        if not _extension_exists(n, k.generating_set(), _every_hom_on_generators(k, m), m):
+            return False
+    return True
 
 
 def rel_inj_closed_form(m, n):
@@ -659,7 +680,7 @@ class TestHomExtension:
             h = Subgroup.generated_by(g, [g.smul(rng.choice([1, 2, 3]), g.decode(rng.randrange(g.order)))
                                           for _ in range(rng.randint(1, 2))])
             gens = h.generating_set()
-            homs = list(_all_homs_on_generators(h, m))
+            homs = list(_every_hom_on_generators(h, m))
             pool = [rng.choice(homs) for _ in range(6)]
             verdicts = [hom_extends_bruteforce(dict(zip(gens, images)), h, g, m) for images in pool]
             for images, verdict in zip(pool, verdicts):
@@ -711,7 +732,7 @@ class TestHomExtension:
             m = Z([rng.choice([2, 4, 3]), rng.choice([2, 4, 9])])
             h = Subgroup.generated_by(g, [g.decode(rng.randrange(g.order)) for _ in range(2)])
             f = sample_homomorphism(h, m, rng)
-            assert [f[x] for x in h.generating_set()] in list(_all_homs_on_generators(h, m))
+            assert [f[x] for x in h.generating_set()] in list(_every_hom_on_generators(h, m))
             digest.update(repr(sorted(f.items())).encode())
         assert digest.hexdigest() == "17570ca002cce4c4cdbe3367d2cbd0b0af6f5d14a2c3ea746f98786757519260"
 
@@ -758,6 +779,64 @@ class TestRelativeInjectivity:
             for n in groups:
                 assert is_relatively_injective(m, n) == rel_inj_closed_form(m, n), (m, n)
                 assert is_relatively_pure_injective(m, n), (m, n)
+
+    def test_matches_every_hom_reference(self):
+        # Checking a generating set of Hom(K, M) gives the verdicts of
+        # checking every hom, on all ordered pairs of orders 2..16.
+        groups = [grp for n in range(2, 17) for grp in isomorphism_classes_of_order(n)]
+        pairs = [(m, n) for m in groups for n in groups]
+        assert len(pairs) == 576
+        verdicts = set()
+        for m, n in pairs:
+            inj = rel_inj_by_every_hom(m, n)
+            pure_inj = rel_inj_by_every_hom(m, n, pure_only=True)
+            assert is_relatively_injective(m, n) == inj, (m, n)
+            assert is_relatively_pure_injective(m, n) == pure_inj, (m, n)
+            verdicts.add((inj, pure_inj))
+        assert verdicts == {(True, True), (False, True)}
+
+    def test_generating_homs_span_every_hom(self):
+        # The homs checked generate Hom(K, M) inside M^t (t generators of K).
+        rng = random.Random(53)
+        for _ in range(60):
+            n = Z([rng.choice([2, 3, 4, 8, 9]), rng.choice([2, 4, 3, 6])])
+            m = Z([rng.choice([2, 4, 3, 8])] + ([rng.choice([2, 3, 9])] if rng.random() < 0.6 else []))
+            k = Subgroup.generated_by(n, [n.decode(rng.randrange(n.order)) for _ in range(2)])
+            moduli = list(m.factors) * len(k.generating_set())
+            flat = [tuple(x for image in hom for x in image) for hom in _all_homs_on_generators(k, m)]
+            every = {tuple(x for image in hom for x in image) for hom in _every_hom_on_generators(k, m)}
+            assert len(flat) <= abstract_presentation(k)[0].rank * m.rank
+            span = {(0,) * len(moduli)}
+            frontier = list(span)
+            while frontier:
+                x = frontier.pop()
+                for y in flat:
+                    z = tuple((a + b) % q for a, b, q in zip(x, y, moduli))
+                    if z not in span:
+                        span.add(z)
+                        frontier.append(z)
+            assert span == every
+
+    def test_pure_variant_checks_few_homs_per_subgroup(self, monkeypatch):
+        # The 2^24 homs Z4^4 -> Z2^6 are never walked: each subgroup K of
+        # Z4^4 gets at most rank(K)*rank(M) homs checked.
+        m, n = Z([2] * 6), Z([4] * 4)
+        generating = finite._all_homs_on_generators
+        counts = []
+
+        def counted(k, target):
+            bound = abstract_presentation(k)[0].rank * target.rank
+            seen = 0
+            for hom in generating(k, target):
+                seen += 1
+                assert seen <= bound, (k, seen, bound)
+                yield hom
+            counts.append(seen)
+
+        monkeypatch.setattr(finite, "_all_homs_on_generators", counted)
+        assert is_relatively_pure_injective(m, n)
+        # Z4^4 itself poses no congruence to check, so its homs are never drawn.
+        assert counts and max(counts) == 3 * 6
 
     def test_pure_variant_examples(self):
         assert is_relatively_pure_injective(Z([2]), Z([4]))

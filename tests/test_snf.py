@@ -7,9 +7,7 @@ import pytest
 from abelcheck.snf import (
     diagonal,
     identity_matrix,
-    integer_det,
     integer_row_kernel,
-    is_unimodular,
     linear_system_solvable,
     mat_mul,
     smith_normal_form,
@@ -18,6 +16,35 @@ from abelcheck.snf import (
 
 def random_matrix(rng, rows, cols, lo=-20, hi=20):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def integer_det(a):
+    """Determinant of a square matrix by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def is_unimodular(a):
+    return abs(integer_det(a)) == 1
 
 
 def smith_certificate(a, b):
