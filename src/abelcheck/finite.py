@@ -191,11 +191,12 @@ class FiniteAbelianGroup:
         return out
 
     def _code_order(self, x: int) -> int:
-        """The order of the element with code x (cached per code)."""
+        """The order of the element with code x, from its digits x // s % m
+        (cached per code)."""
         orders = self._cache.setdefault("orders", {})
         out = orders.get(x)
         if out is None:
-            out = orders[x] = self.element_order(self.decode(x))
+            out = orders[x] = lcm(*[m // gcd(m, x // s % m) for m, s in zip(self.factors, self._strides)])
         return out
 
     def _scalar_code_map(self, n: int) -> list[int]:
@@ -614,6 +615,19 @@ def _combo(m: FiniteAbelianGroup, coeffs: list[int], elements: list[Element]) ->
 
 def _validated_instance(f: Mapping[Element, Element], h: Subgroup,
                         g: FiniteAbelianGroup, m: FiniteAbelianGroup):
+    """The keys of f, sorted, and their images, once f is known to define
+    a hom h -> m.
+
+    One walk over the sorted keys builds the map on their span, as codes
+    in g to codes in m.  Adjoining a key x to the span S so far adds the
+    cosets x + S, 2x + S, ... with jx + s sent to j*f(x) + f(s), up to
+    the first n with nx in S; the map stays well defined iff n*f(x) is
+    the value already stored at nx (n = 1 for a key already in S).  These
+    chain relations generate every relation among the keys: in a
+    relation with coefficient c on the last key, c*x lies in the span of
+    the earlier keys, so n divides c, and subtracting c/n times that
+    key's chain relation leaves a relation among the earlier keys.
+    """
     _require_subgroup(h, g)
     items = sorted(f.items())
     gens = [ge for ge, _ in items]
@@ -623,11 +637,25 @@ def _validated_instance(f: Mapping[Element, Element], h: Subgroup,
             raise NotASubgroup(f"{ge} is not in the given subgroup")
     for im in images:
         m.validate_element(im)
-    if Subgroup.generated_by(g, gens)._mask != h._mask:
+    g_add, m_add = g._add_codes, m._add_codes
+    value = {0: 0}
+    clash = None
+    for ge, im in items:
+        x, y = g.encode(ge), m.encode(im)
+        nx, ny, n = x, y, 1
+        if x not in value:
+            base = list(value.items())[1:]  # all but (0, 0): nx + 0 is nx
+            while nx not in value:
+                value[nx] = ny
+                value.update([(g_add(nx, a), m_add(ny, b)) for a, b in base])
+                nx, ny, n = g_add(nx, x), m_add(ny, y), n + 1
+        if clash is None and value[nx] != ny:
+            clash = f"{n}*{ge} lies in the span of the keys before it, where the images disagree"
+    # the keys lie in h, so they generate it iff their span is as large
+    if len(value) != h.order:
         raise ValueError("the map's keys do not generate the subgroup")
-    for row in _relation_rows(g, gens):
-        if _combo(m, row, images) != m.zero():
-            raise IllDefinedHom(f"relation {row} is not annihilated by the images")
+    if clash is not None:
+        raise IllDefinedHom(clash)
     return gens, images
 
 
@@ -636,10 +664,12 @@ def hom_extends(f: Mapping[Element, Element], h: Subgroup,
     """Whether the hom h -> m given on generators extends to g -> m.
 
     f maps a generating set of h to m; well-definedness is validated by
-    checking that the generators' relation lattice annihilates the
-    images (IllDefinedHom otherwise).  Existence is decided by integer
-    congruence solving; see hom_extends_bruteforce for the independent
-    enumeration used to cross-check this path.
+    one walk over the keys that checks, for each key, the relation from
+    the first multiple of it that falls in the span of the keys before
+    it (IllDefinedHom otherwise); these relations generate the keys'
+    whole relation lattice (see ``_validated_instance``).  Existence is
+    decided by integer congruence solving; see hom_extends_bruteforce
+    for the independent enumeration used to cross-check this path.
     """
     gens, images = _validated_instance(f, h, g, m)
     return _extension_exists(g, gens, [images], m)

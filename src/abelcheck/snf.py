@@ -13,7 +13,10 @@ Computational Algebraic Number Theory*, section 2.4).
 
 Pivoting is fixed (smallest nonzero absolute value, row-major
 tie-break; row elimination before column elimination) so U and V are
-reproducible run to run, although only S is contractual.
+reproducible run to run; ``oracle snf --json`` prints them.  A pivot of
+absolute value 1 ends the search early, since no nonzero entry is
+smaller, and skips the pass that folds non-multiples into the pivot,
+since a unit divides everything; neither changes U, S or V.
 """
 
 from __future__ import annotations
@@ -27,32 +30,12 @@ def _check_matrix(a) -> tuple[int, int]:
     for row in a:
         if len(row) != cols:
             raise ValueError("ragged matrix")
+        if set(map(type, row)) <= {int}:
+            continue
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"integer entries required, got {x!r}")
     return rows, cols
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner = _check_matrix(a)
-    inner2, cols = _check_matrix(b)
-    if inner != inner2:
-        raise ValueError("dimension mismatch")
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
-    return out
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -67,101 +50,105 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def _smith_form(a: IntMatrix, rows: int, cols: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """The elimination behind every public function here; ``a`` must
-    already have passed ``_check_matrix``, which gave rows and cols."""
+    already have passed ``_check_matrix``, which gave rows and cols.
+
+    At step t, rows and columns before t are zero off the diagonal, so
+    S is updated in the trailing block only; U and V in full."""
     s = [row[:] for row in a]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        if q:
-            si, sk = s[i], s[k]
-            ui, uk = u[i], u[k]
-            for j in range(cols):
-                si[j] -= q * sk[j]
-            for j in range(rows):
-                ui[j] -= q * uk[j]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        if q:
-            for i in range(rows):
-                s[i][j] -= q * s[i][k]
-            for i in range(cols):
-                v[i][j] -= q * v[i][k]
-
-    def swap_rows(i: int, k: int) -> None:
-        s[i], s[k] = s[k], s[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in s:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def negate_row(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # pick pivot: smallest nonzero absolute value in the trailing block
-        best = None
+    u = [[0] * rows for _ in range(rows)]
+    for i in range(rows):
+        u[i][i] = 1
+    v = [[0] * cols for _ in range(cols)]
+    for i in range(cols):
+        v[i][i] = 1
+    for t in range(min(rows, cols)):
+        # pivot: smallest nonzero absolute value in the trailing block,
+        # first in row-major order; nothing is smaller than 1
+        best = 0
         for i in range(t, rows):
             si = s[i]
             for j in range(t, cols):
-                val = si[j]
-                if val and (best is None or abs(val) < best[0]):
-                    best = (abs(val), i, j)
-        if best is None:
+                x = si[j]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if not best or x < best:
+                        best, pi, pj = x, i, j
+                        if x == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
             break
-        _, pi, pj = best
         if pi != t:
-            swap_rows(t, pi)
+            s[t], s[pi] = s[pi], s[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            swap_cols(t, pj)
+            for i in range(t, rows):
+                si = s[i]
+                si[t], si[pj] = si[pj], si[t]
+            for vi in v:
+                vi[t], vi[pj] = vi[pj], vi[t]
 
+        # Each pass clears column t, then row t, then folds in a
+        # non-multiple; a remainder swapped into the pivot (the breaks
+        # below) or a fold starts the next pass.
         while True:
             # clear column t with row operations
-            restart = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    row_sub(i, t, q)
-                    if s[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t with column operations
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    col_sub(j, t, q)
-                    if s[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # force divisibility: fold any non-multiple into this pivot
-            pivot = s[t][t]
-            offender = None
+            st, ut = s[t], u[t]
             for i in range(t + 1, rows):
                 si = s[i]
-                for j in range(t + 1, cols):
-                    if si[j] % pivot:
-                        offender = i
+                if si[t]:
+                    q = si[t] // st[t]
+                    if q:
+                        for j in range(t, cols):
+                            si[j] -= q * st[j]
+                        ui = u[i]
+                        for j in range(rows):
+                            ui[j] -= q * ut[j]
+                    if si[t]:
+                        s[t], s[i] = si, st
+                        u[t], u[i] = u[i], ut
                         break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(t, offender, -1)  # add offending row onto row t
+            else:
+                # clear row t with column operations
+                for j in range(t + 1, cols):
+                    if st[j]:
+                        q = st[j] // st[t]
+                        if q:
+                            for i in range(t, rows):
+                                si = s[i]
+                                si[j] -= q * si[t]
+                            for vi in v:
+                                vi[j] -= q * vi[t]
+                        if st[j]:
+                            for i in range(t, rows):
+                                si = s[i]
+                                si[t], si[j] = si[j], si[t]
+                            for vi in v:
+                                vi[t], vi[j] = vi[j], vi[t]
+                            break
+                else:
+                    # force divisibility: fold the first row holding a
+                    # non-multiple onto this pivot; a unit divides all
+                    pivot = st[t]
+                    if pivot == 1 or pivot == -1:
+                        break
+                    for i in range(t + 1, rows):
+                        si = s[i]
+                        if any(si[j] % pivot for j in range(t + 1, cols)):
+                            for j in range(t, cols):
+                                st[j] += si[j]
+                            ui = u[i]
+                            for j in range(rows):
+                                ut[j] += ui[j]
+                            break
+                    else:
+                        break
 
         if s[t][t] < 0:
-            negate_row(t)
-        t += 1
+            s[t][t] = -s[t][t]
+            u[t] = [-x for x in u[t]]
 
     return u, s, v
 
@@ -203,6 +190,5 @@ def linear_system_solvable(a: IntMatrix, b: list[int]) -> bool:
 
 
 __all__ = [
-    "IntMatrix", "identity_matrix", "mat_mul", "smith_normal_form", "diagonal",
-    "integer_row_kernel", "linear_system_solvable",
+    "IntMatrix", "smith_normal_form", "diagonal", "integer_row_kernel", "linear_system_solvable",
 ]

@@ -191,6 +191,16 @@ class TestOracle:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_snf_json_is_golden(self, capsys):
+        # Pins U and V as well as S; the digest was recorded before the
+        # elimination lost its closures and gained its unit-pivot shortcuts.
+        digest = hashlib.sha256()
+        for matrix in ("2,4;6,8", "0,0;0,0", "4,6,10;6,9,15;2,3,5", "12,18,30;-4,6,8", "7"):
+            code, out, _ = run(capsys, "oracle", "snf", matrix, "--json")
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "fe8ba6e60c985f4153b124294e9cc8c5eb0704fb2cc4d0bd6c0a69fb072528fe"
+
     def test_invariant_violation_exit_4(self, capsys, monkeypatch):
         def zero_diagonal(a):
             u, s, v = smith_normal_form(a)

@@ -23,6 +23,8 @@ from abelcheck.finite import (
     _combo,
     _extension_exists,
     _hom_choices,
+    _relation_rows,
+    _validated_instance,
     abstract_presentation,
     element_height,
     enumerate_subgroups,
@@ -211,6 +213,28 @@ def rel_inj_by_every_hom(m, n, pure_only=False):
         if not _extension_exists(n, k.generating_set(), _every_hom_on_generators(k, m), m):
             return False
     return True
+
+
+def reference_validated_instance(f, h, g, m):
+    """The validation the walk in ``_validated_instance`` replaced: keys in
+    h, images in m, keys generating h (by mask), then every row of the
+    keys' integer relation lattice annihilating the images."""
+    if not isinstance(h, Subgroup) or h.group != g:
+        raise NotASubgroup(f"{h!r} is not a subgroup of {g}")
+    items = sorted(f.items())
+    gens = [ge for ge, _ in items]
+    images = [im for _, im in items]
+    for ge in gens:
+        if ge not in h:
+            raise NotASubgroup(f"{ge} is not in the given subgroup")
+    for im in images:
+        m.validate_element(im)
+    if Subgroup.generated_by(g, gens)._mask != h._mask:
+        raise ValueError("the map's keys do not generate the subgroup")
+    for row in _relation_rows(g, gens):
+        if _combo(m, row, images) != m.zero():
+            raise IllDefinedHom(f"relation {row} is not annihilated by the images")
+    return gens, images
 
 
 def rel_inj_closed_form(m, n):
@@ -704,6 +728,52 @@ class TestHomExtension:
         g, m = Z([4, 2]), Z([8, 3])
         assert hom_extends({}, Subgroup.trivial(g), g, m)
         assert _extension_exists(g, [], [[], []], m)
+
+    def test_validation_matches_relation_lattice_reference(self):
+        # Each instance is validated both ways; they must return the same
+        # keys and images or raise the same exception class (ValueError
+        # and NotASubgroup with the same message).
+        rng = random.Random(617)
+        outcomes = {}
+        for _ in range(5000):
+            g = Z([rng.choice([2, 3, 4, 5, 8, 9]) for _ in range(rng.randint(1, 3))])
+            m = Z([rng.choice([2, 3, 4, 8, 9]) for _ in range(rng.randint(1, 2))])
+            h = Subgroup.generated_by(g, [g.decode(rng.randrange(g.order)) for _ in range(rng.randint(0, 3))])
+            members = h.elements()
+            kind = rng.random()
+            if kind < 0.4:
+                f = sample_homomorphism(h, m, rng)  # well defined
+            else:
+                f = dict(sample_homomorphism(h, m, rng))
+                for key in rng.sample(sorted(f), min(len(f), rng.randint(0, 2))):
+                    f[key] = m.decode(rng.randrange(m.order))  # often ill defined
+            if kind > 0.7:
+                # extra keys: redundant ones, or ones that replace a generator
+                for _ in range(rng.randint(1, 2)):
+                    f[rng.choice(members)] = m.decode(rng.randrange(m.order))
+                if f and rng.random() < 0.7:
+                    del f[rng.choice(sorted(f))]
+            if rng.random() < 0.02:
+                f[g.decode(rng.randrange(g.order))] = m.zero()  # maybe outside h
+            if rng.random() < 0.02 and f:
+                f[rng.choice(sorted(f))] = (m.factors[0],) + m.zero()[1:]  # not in m
+            try:
+                expected = reference_validated_instance(f, h, g, m)
+            except (NotASubgroup, IllDefinedHom, ValueError) as err:
+                expected = err
+            try:
+                got = _validated_instance(f, h, g, m)
+            except (NotASubgroup, IllDefinedHom, ValueError) as err:
+                got = err
+            if isinstance(expected, Exception):
+                assert type(got) is type(expected), (f, h, g, m, got, expected)
+                if not isinstance(expected, IllDefinedHom):
+                    assert str(got) == str(expected)
+            else:
+                assert got == expected
+            outcomes[type(expected).__name__] = outcomes.get(type(expected).__name__, 0) + 1
+        assert outcomes["tuple"] >= 1000 and outcomes["IllDefinedHom"] >= 1000, outcomes
+        assert outcomes["ValueError"] >= 250 and outcomes["NotASubgroup"] >= 20, outcomes
 
     def test_bruteforce_cap(self):
         g = Z([2] * 6)

@@ -6,16 +6,126 @@ import pytest
 
 from abelcheck.snf import (
     diagonal,
-    identity_matrix,
     integer_row_kernel,
     linear_system_solvable,
-    mat_mul,
     smith_normal_form,
 )
 
 
 def random_matrix(rng, rows, cols, lo=-20, hi=20):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    if any(len(row) != inner for row in a):
+        raise ValueError("dimension mismatch")
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+
+
+def reference_smith_form(a):
+    """The elimination as it stood before its unit-pivot shortcuts and
+    trailing-block updates, closures and all: the library must return
+    the same U, S and V, because ``oracle snf --json`` prints them."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    s = [row[:] for row in a]
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def row_sub(i, k, q):
+        if q:
+            si, sk = s[i], s[k]
+            ui, uk = u[i], u[k]
+            for j in range(cols):
+                si[j] -= q * sk[j]
+            for j in range(rows):
+                ui[j] -= q * uk[j]
+
+    def col_sub(j, k, q):
+        if q:
+            for i in range(rows):
+                s[i][j] -= q * s[i][k]
+            for i in range(cols):
+                v[i][j] -= q * v[i][k]
+
+    def swap_rows(i, k):
+        s[i], s[k] = s[k], s[i]
+        u[i], u[k] = u[k], u[i]
+
+    def swap_cols(j, k):
+        for row in s:
+            row[j], row[k] = row[k], row[j]
+        for row in v:
+            row[j], row[k] = row[k], row[j]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            si = s[i]
+            for j in range(t, cols):
+                val = si[j]
+                if val and (best is None or abs(val) < best[0]):
+                    best = (abs(val), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+
+        while True:
+            restart = False
+            for i in range(t + 1, rows):
+                if s[i][t]:
+                    q = s[i][t] // s[t][t]
+                    row_sub(i, t, q)
+                    if s[i][t]:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, cols):
+                if s[t][j]:
+                    q = s[t][j] // s[t][t]
+                    col_sub(j, t, q)
+                    if s[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            pivot = s[t][t]
+            offender = None
+            for i in range(t + 1, rows):
+                si = s[i]
+                for j in range(t + 1, cols):
+                    if si[j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_sub(t, offender, -1)
+
+        if s[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return u, s, v
 
 
 def integer_det(a):
@@ -129,6 +239,34 @@ class TestSmithNormalForm:
             smith_normal_form([[1, 2], [3]])
         with pytest.raises(ValueError):
             smith_normal_form([[1.5]])
+        with pytest.raises(ValueError, match="got True"):
+            smith_normal_form([[1, 2], [3, True]])
+        with pytest.raises(ValueError, match="got '4'"):
+            smith_normal_form([[1, 2], [3, 5], ["4", 1.5]])
+        with pytest.raises(ValueError, match="ragged"):
+            smith_normal_form([[1, 2], [3.0]])
+
+    def test_accepts_int_subclasses(self):
+        class Tagged(int):
+            pass
+
+        assert diagonal(smith_normal_form([[Tagged(2), 4], [6, Tagged(8)]])[1]) == [2, 4]
+
+    def test_matches_reference_elimination(self):
+        # U and V are part of `oracle snf --json`, so the elimination must
+        # give the reference's exact U, S and V, not just the same S.
+        rng = random.Random(1979)
+        fixed = [[], [[0] * 4 for _ in range(3)], [[0]], [[1]], [[-1]], [[7]], [[-12]]]
+        checked = 0
+        for a in fixed + [None] * 6000:
+            if a is None:
+                rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+                bound = rng.choice([1, 3, 9, 30, 300])
+                a = [[0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(cols)]
+                     for _ in range(rows)]
+            assert smith_normal_form(a) == reference_smith_form(a), a
+            checked += 1
+        assert checked >= 5000
 
 
 class TestDeterminant:
