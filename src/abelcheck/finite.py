@@ -199,20 +199,6 @@ class FiniteAbelianGroup:
             out = orders[x] = lcm(*[m // gcd(m, x // s % m) for m, s in zip(self.factors, self._strides)])
         return out
 
-    def _scalar_code_map(self, n: int) -> list[int]:
-        """Multiplication by n on codes: ``_scalar_code_map(n)[x]`` is the
-        code of n*x.  Built factor by factor like ``_add_row``: n*(h, d)
-        = (n*h, n*d mod m) has code code_H(n*h) + |H|*(n*d mod m)."""
-        key = ("smul", n)
-        if key not in self._cache:
-            table = [0]
-            size = 1
-            for m in self.factors:
-                table = [v + size * (n * d % m) for d in range(m) for v in table]
-                size *= m
-            self._cache[key] = table
-        return self._cache[key]
-
     def primary_components(self) -> list[tuple[int, "FiniteAbelianGroup", list[int]]]:
         """(prime, component group, coordinate positions) per prime."""
         blocks: list[tuple[int, list[int]]] = []
@@ -350,9 +336,10 @@ def _adjoin(group: FiniteAbelianGroup, span: set[int], g: int) -> None:
     if g in span:
         return
     add = group._add_codes
-    base = list(span)
+    base = span - {0}  # x + 0 is x itself
     x = g
     while x not in span:
+        span.add(x)
         span.update([add(x, h) for h in base])
         x = add(x, g)
 
@@ -851,20 +838,20 @@ def is_pure_split_finite(n: FiniteAbelianGroup, bound: int | None = None) -> boo
 
 
 def element_height(g: FiniteAbelianGroup, a: Element, p: int) -> Height:
-    """Largest k with a in p^k * G; INF when a survives every power."""
-    g.validate_element(a)
-    code = g.encode(a)
-    current = frozenset(range(g.order))
-    k = 0
-    smap = g._scalar_code_map(p)
+    """Largest k with a in p^k * G; INF when a survives every power.
+
+    p^k * Z(m) is the multiples of gcd(p^k, m), so p^k * G is the digit
+    mask of those steps, and the chain stops shrinking when they do."""
+    code = g.encode(g.validate_element(a))
+    steps = [1] * g.rank
+    k, q = 0, p
     while True:
-        nxt = frozenset(smap[x] for x in current)
-        if nxt == current:
+        nxt = [gcd(q, m) for m in g.factors]
+        if nxt == steps:
             return INF
-        if code not in nxt:
+        if not _digit_mask(g, nxt) >> code & 1:
             return k
-        current = nxt
-        k += 1
+        steps, k, q = nxt, k + 1, q * p
 
 
 def localization_hom_image(m: FiniteAbelianGroup, a: Element, b: int, c: int) -> Element:

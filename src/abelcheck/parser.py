@@ -14,12 +14,14 @@ moduli are rejected rather than factored (the finite-oracle strings
 like "Z4 x Z2" are a separate grammar that does factor).  "0" denotes
 the zero group so that rendering is total.  Every failure raises
 ParseError with the offending position; no input crashes the parser.
+The whole text is scanned into (kind, text, position) tuples before
+parsing starts, so a bad character anywhere is reported first.
 """
 
 from __future__ import annotations
 
 from .arith import factorize, is_prime
-from .characteristics import CHAR_Q, CHAR_Z, INF, Characteristic, height_to_text
+from .characteristics import CHAR_Q, CHAR_Z, INF, Characteristic, height_to_text, localization_char
 from .errors import ParseError
 from .groups import (
     OMEGA,
@@ -41,46 +43,33 @@ _SYMBOLS = set("+^(){}[]\\;:,_")
 _DIGITS = set("0123456789")  # str.isdigit admits unicode digits int() rejects
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
+        j = i + 1
         if ch.isspace():
-            i += 1
+            i = j
             continue
         if ch in _DIGITS:
-            j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
             if j - i > 18:  # primes, exponents and multiplicities are human-scale
                 raise ParseError("number literal too long", i)
-            out.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
+            kind = "num"
+        elif ch.isalpha():
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            out.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("eof", "", n))
+            kind = "ident"
+        elif ch in _SYMBOLS:
+            kind = ch
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        out.append((kind, text[i:j], i))
+        i = j
+    out.append(("eof", "", n))
     return out
 
 
@@ -89,225 +78,171 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def accept(self, kind: str, text: str | None = None) -> tuple[str, str, int] | None:
+        """Consume and return the next token if it has this kind (and text)."""
         tok = self.tokens[self.index]
-        if tok.kind != "eof":
-            self.index += 1
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            return None
+        self.index += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what or kind!r}, got {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        tok = self.accept(kind)
+        if tok is None:
+            _, text, pos = self.peek()
+            raise ParseError(f"expected {what or kind!r}, got {text or 'end of input'!r}", pos)
+        return tok
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().pos)
+    # -- grammar elements ---------------------------------------------------
+
+    def prime(self, hint: bool = False) -> int:
+        """A prime literal; with ``hint``, a prime power q^e is told to be Z(q^e)."""
+        _, text, pos = self.expect("num", "a prime")
+        p = int(text)
+        if is_prime(p):
+            return p
+        message = f"{p} is not prime"
+        fac = factorize(p) if hint and p > 1 else {}
+        if len(fac) == 1:
+            (q, e), = fac.items()
+            message += f"; must be Z({q}^{e})"
+        raise ParseError(message, pos)
+
+    def exponent(self, what: str):
+        """The n >= 1 or "inf" (INF) after the "^" of Z(p^...) or Z(var^...)."""
+        if self.accept("ident", "inf"):
+            return INF
+        _, text, pos = self.expect("num", "an exponent or 'inf'")
+        if int(text) < 1:
+            raise ParseError(f"{what} exponent must be >= 1", pos)
+        return int(text)
+
+    def mult(self) -> Multiplicity:
+        """The optional "^" mult of a term or template; 1 when absent."""
+        if not self.accept("^"):
+            return 1
+        kind, text, pos = self.peek()
+        if kind == "num":
+            self.index += 1
+            if int(text) < 1:
+                raise ParseError("multiplicity must be >= 1", pos)
+            return int(text)
+        if self.accept("ident", "omega"):
+            return OMEGA
+        raise ParseError("multiplicity must be an integer >= 1 or 'omega'", pos)
+
+    def bound_variable(self, var: str) -> None:
+        _, text, pos = self.expect("ident", f"the bound variable {var!r}")
+        if text != var:
+            raise ParseError(f"family template must use the bound variable {var!r}", pos)
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_group(self) -> GroupDescriptor:
-        parts = list(self.parse_term())
-        while self.peek().kind == "+":
-            self.advance()
-            parts.extend(self.parse_term())
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    def group(self) -> GroupDescriptor:
+        parts = []
+        while True:
+            part = self.atom()
+            mult = self.mult()
+            if part is not None:  # the zero group absorbs any multiplicity
+                parts.append((part, mult))
+            if not self.accept("+"):
+                break
+        kind, text, pos = self.peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return GroupDescriptor(parts)
 
-    def parse_term(self):
-        part = self.parse_atom()
-        mult: Multiplicity = 1
-        if self.peek().kind == "^":
-            self.advance()
-            mult = self.parse_mult()
-        if part is None:  # the zero group absorbs any multiplicity
-            return []
-        return [(part, mult)]
-
-    def parse_mult(self) -> Multiplicity:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            value = int(tok.text)
-            if value < 1:
-                raise ParseError("multiplicity must be >= 1", tok.pos)
-            return value
-        if tok.kind == "ident" and tok.text == "omega":
-            self.advance()
-            return OMEGA
-        raise ParseError("multiplicity must be an integer >= 1 or 'omega'", tok.pos)
-
-    def parse_prime(self) -> int:
-        tok = self.expect("num", "a prime")
-        p = int(tok.text)
-        if not is_prime(p):
-            raise ParseError(f"{p} is not prime", tok.pos)
-        return p
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            if tok.text == "0":
-                self.advance()
+    def atom(self):
+        kind, name, pos = self.peek()
+        if kind == "num":
+            if name == "0":
+                self.index += 1
                 return None
-            raise ParseError(f"unexpected number {tok.text!r}; atoms start with Z, Q, R, tower or sum", tok.pos)
-        if tok.kind != "ident":
-            raise ParseError(f"expected an atom, got {tok.text or 'end of input'!r}", tok.pos)
-        name = tok.text
+            raise ParseError(f"unexpected number {name!r}; atoms start with Z, Q, R, tower or sum", pos)
+        if kind != "ident":
+            raise ParseError(f"expected an atom, got {name or 'end of input'!r}", pos)
+        self.index += 1
         if name == "Z":
-            self.advance()
-            if self.peek().kind == "(":
-                return self._parse_cyclic_tail()
-            return RationalAtom(CHAR_Z)
+            if not self.accept("("):
+                return RationalAtom(CHAR_Z)
+            p = self.prime(hint=True)
+            if self.accept(")"):
+                return CyclicAtom(p, 1)
+            self.expect("^")
+            n = self.exponent("cyclic")
+            self.expect(")")
+            return PruferAtom(p) if n is INF else CyclicAtom(p, n)
         if name == "Q":
-            self.advance()
             return RationalAtom(CHAR_Q)
-        if name == "Q_":
-            self.advance()
+        if name in ("Q_", "tower", "R"):
             self.expect("(")
-            p = self.parse_prime()
-            self.expect(")")
-            return RationalAtom(Characteristic(INF, {p: 0}))
-        if name == "R":
-            self.advance()
-            self.expect("(")
-            char = self._parse_chardesc()
-            self.expect(")")
-            return RationalAtom(char)
-        if name == "tower":
-            self.advance()
-            self.expect("(")
-            p = self.parse_prime()
-            self.expect(")")
-            return TowerAtom(p)
-        if name == "sum":
-            return self._parse_family()
-        raise ParseError(f"unknown atom {name!r}", tok.pos)
-
-    def _parse_cyclic_tail(self):
-        self.expect("(")
-        tok = self.expect("num", "a prime")
-        p = int(tok.text)
-        if not is_prime(p):
-            hint = ""
-            fac = factorize(p) if p > 1 else {}
-            if len(fac) == 1:
-                q, e = next(iter(fac.items()))
-                hint = f"; must be Z({q}^{e})"
-            raise ParseError(f"{p} is not prime{hint}", tok.pos)
-        if self.peek().kind == ")":
-            self.advance()
-            return CyclicAtom(p, 1)
-        self.expect("^")
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "inf":
-            self.advance()
-            self.expect(")")
-            return PruferAtom(p)
-        tok = self.expect("num", "an exponent or 'inf'")
-        n = int(tok.text)
-        if n < 1:
-            raise ParseError("cyclic exponent must be >= 1", tok.pos)
-        self.expect(")")
-        return CyclicAtom(p, n)
-
-    def _parse_chardesc(self) -> Characteristic:
-        tok = self.peek()
-        if tok.kind == "num" and tok.text == "0":
-            default = 0
-            self.advance()
-        elif tok.kind == "ident" and tok.text == "inf":
-            default = INF
-            self.advance()
-        else:
-            raise ParseError("characteristic must start with '0' or 'inf'", tok.pos)
-        exceptions = {}
-        while self.peek().kind in (";", ","):
-            self.advance()
-            ptok = self.expect("num", "a prime")
-            p = int(ptok.text)
-            if not is_prime(p):
-                raise ParseError(f"{p} is not prime", ptok.pos)
-            self.expect(":")
-            htok = self.peek()
-            if htok.kind == "ident" and htok.text == "inf":
-                self.advance()
-                h = INF
+            if name == "R":
+                part = RationalAtom(self.chardesc())
+            elif name == "tower":
+                part = TowerAtom(self.prime())
             else:
-                htok = self.expect("num", "a height or 'inf'")
-                h = int(htok.text)
-            if p in exceptions and exceptions[p] != h:
-                raise ParseError(f"conflicting heights for prime {p}", ptok.pos)
-            exceptions[p] = h
+                part = RationalAtom(localization_char(self.prime()))
+            self.expect(")")
+            return part
+        if name == "sum":
+            return self.family()
+        raise ParseError(f"unknown atom {name!r}", pos)
+
+    def chardesc(self) -> Characteristic:
+        if self.accept("num", "0"):
+            default = 0
+        elif self.accept("ident", "inf"):
+            default = INF
+        else:
+            raise ParseError("characteristic must start with '0' or 'inf'", self.peek()[2])
+        exceptions = {}
+        while self.accept(";") or self.accept(","):
+            pos = self.peek()[2]
+            p = self.prime()
+            self.expect(":")
+            h = INF if self.accept("ident", "inf") else int(self.expect("num", "a height or 'inf'")[1])
+            if exceptions.setdefault(p, h) != h:
+                raise ParseError(f"conflicting heights for prime {p}", pos)
         return Characteristic(default, exceptions)
 
-    def _parse_family(self):
-        self.advance()  # "sum"
+    def family(self) -> PrimeFamily:
         self.expect("{")
-        var = self.expect("ident", "a prime variable").text
+        var = self.expect("ident", "a prime variable")[1]
         self.expect("}")
         self.expect("[")
-        template, inner_mult = self._parse_template(var)
-        self.expect("]")
-        excluded = []
-        if self.peek().kind == "\\":
-            self.advance()
-            if self.peek().kind == "\\":  # tolerate a doubled backslash
-                self.advance()
-            self.expect("{")
-            excluded.append(self.parse_prime())
-            while self.peek().kind == ",":
-                self.advance()
-                excluded.append(self.parse_prime())
-            self.expect("}")
-        return PrimeFamily(template, inner_mult, excluded)
-
-    def _parse_template(self, var: str):
-        tok = self.expect("ident", "'Z' or 'tower'")
-        template = None
-        if tok.text == "Z":
-            self.expect("(")
-            vtok = self.expect("ident", f"the bound variable {var!r}")
-            if vtok.text != var:
-                raise ParseError(f"family template must use the bound variable {var!r}", vtok.pos)
-            self.expect("^")
-            etok = self.peek()
-            if etok.kind == "ident" and etok.text == "inf":
-                self.advance()
-                template = PruferAll()
-            else:
-                etok = self.expect("num", "an exponent or 'inf'")
-                e = int(etok.text)
-                if e < 1:
-                    raise ParseError("family exponent must be >= 1", etok.pos)
-                template = FixedExponent(e)
-            self.expect(")")
-        elif tok.text == "tower":
-            self.expect("(")
-            vtok = self.expect("ident", f"the bound variable {var!r}")
-            if vtok.text != var:
-                raise ParseError(f"family template must use the bound variable {var!r}", vtok.pos)
-            self.expect(")")
+        _, name, pos = self.expect("ident", "'Z' or 'tower'")
+        if name not in ("Z", "tower"):
+            raise ParseError(f"family template must be Z({var}^...) or tower({var})", pos)
+        self.expect("(")
+        self.bound_variable(var)
+        if name == "tower":
             template = UnboundedTower()
         else:
-            raise ParseError(f"family template must be Z({var}^...) or tower({var})", tok.pos)
-        mult: Multiplicity = 1
-        if self.peek().kind == "^":
-            self.advance()
-            mult = self.parse_mult()
-        return template, mult
+            self.expect("^")
+            e = self.exponent("family")
+            template = PruferAll() if e is INF else FixedExponent(e)
+        self.expect(")")
+        inner = self.mult()
+        self.expect("]")
+        excluded = []
+        if self.accept("\\"):
+            self.accept("\\")  # tolerate a doubled backslash
+            self.expect("{")
+            excluded.append(self.prime())
+            while self.accept(","):
+                excluded.append(self.prime())
+            self.expect("}")
+        return PrimeFamily(template, inner, excluded)
 
 
 def parse(text: str) -> GroupDescriptor:
     """Parse an expression into a descriptor (see module grammar)."""
     if not isinstance(text, str):
         raise ParseError("input must be a string", 0)
-    return _Parser(text).parse_group()
+    return _Parser(text).group()
 
 
 # ---------------------------------------------------------------------------

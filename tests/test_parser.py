@@ -9,6 +9,7 @@ from abelcheck.groups import (
     OMEGA,
     CyclicAtom,
     FixedExponent,
+    GroupDescriptor,
     PrimeFamily,
     PruferAtom,
     RationalAtom,
@@ -21,6 +22,7 @@ from abelcheck.groups import (
 from abelcheck.parser import parse, render
 
 from conftest import random_group
+import reference_parser
 
 
 def roundtrip(g):
@@ -82,12 +84,16 @@ class TestParseAtoms:
             parse("sum{p}[Z(p^1)]+Z^2"))
 
 
+REJECTED = [
+    "", "+", "Z(", "Z(4", "Z)", "Z(2^)", "Z(2^0)", "Z^0", "Z^", "W",
+    "sum{p}[Z(q^1)]", "sum{p}", "sum{p}[Q]", "tower(4)", "Q_(9)", "R(2)",
+    "R(0;4:1)", "Z + ", "Z Z", "Z(2^inf", "1", "Z(2)^-1", "tower(2)^~",
+]
+FUZZ_ALPHABET = "ZQRtowersum{}[]()^+\\;:,_ 0123456789inf\x00\xff目"
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize("text", [
-        "", "+", "Z(", "Z(4", "Z)", "Z(2^)", "Z(2^0)", "Z^0", "Z^", "W",
-        "sum{p}[Z(q^1)]", "sum{p}", "sum{p}[Q]", "tower(4)", "Q_(9)", "R(2)",
-        "R(0;4:1)", "Z + ", "Z Z", "Z(2^inf", "1", "Z(2)^-1", "tower(2)^~",
-    ])
+    @pytest.mark.parametrize("text", REJECTED)
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse(text)
@@ -105,9 +111,8 @@ class TestParseErrors:
 
     def test_fuzz_never_crashes(self):
         rng = random.Random(2023)
-        alphabet = "ZQRtowersum{}[]()^+\\;:,_ 0123456789inf\x00\xff目"
         for _ in range(20_000):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            text = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(0, 30)))
             try:
                 parse(text)
             except ParseError:
@@ -150,3 +155,42 @@ class TestRender:
         for text in texts:
             g = canonicalize(parse(text))
             assert roundtrip(g) == g
+
+
+def outcome(parse_fn, text):
+    """An accepted text's descriptor, or a rejected one's (message, position)."""
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return exc.message, exc.position
+
+
+class TestReferenceParser:
+    """``parse`` agrees with the reference copy of the earlier parser in
+    ``reference_parser.py``: equal descriptors, equal errors."""
+
+    def test_same_outcome_as_reference(self):
+        rng = random.Random(31)
+        valid = [render(random_group(rng)) for _ in range(4_000)]
+        # the fuzz alphabet plus whole words and a digit that is not ASCII
+        pieces = [*FUZZ_ALPHABET, "omega", "pq", "²", "目"]
+        fuzz = ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 20))) for _ in range(20_000)]
+        mutated = []
+        for _ in range(16_000):
+            chars = list(rng.choice(valid))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randint(0, len(chars))
+                op = rng.randrange(3)
+                if op == 0 or i == len(chars):
+                    chars.insert(i, rng.choice(pieces))
+                elif op == 1:
+                    del chars[i]
+                else:
+                    chars[i] = rng.choice(pieces)
+            mutated.append("".join(chars))
+        accepted = 0
+        for text in [*valid, *REJECTED, *fuzz, *mutated]:
+            expected = outcome(reference_parser.parse, text)
+            assert outcome(parse, text) == expected, text
+            accepted += isinstance(expected, GroupDescriptor)
+        assert accepted >= 4_000
