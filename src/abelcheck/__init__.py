@@ -66,7 +66,6 @@ from .groups import (
     canonicalize,
     direct_sum,
     group_of,
-    is_bounded,
     structural_predicates,
     torsion_free_rank,
 )

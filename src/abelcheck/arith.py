@@ -1,28 +1,46 @@
 """Small exact-integer number-theory helpers.
 
-Everything here works on plain Python ints; inputs are user-scale
-(primes people type, orders below the oracle bound), so trial division
-is plenty.
+Everything here works on plain Python ints.  Orders stay below the
+oracle bound, so ``factorize`` and ``divisors`` use trial division; the
+parser admits prime literals of up to 18 digits, so ``is_prime`` is a
+deterministic Miller-Rabin test.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to every base in _WITNESSES
+# (Sorenson-Webster, Math. Comp. 86, 2017): the test is exact below it.
+MILLER_RABIN_LIMIT = 318_665_857_834_031_151_167_461
+
 
 def is_prime(n: int) -> bool:
+    """Exact for n < MILLER_RABIN_LIMIT; raises ValueError from there on."""
     if n < 2:
         return False
-    if n < 4:
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {MILLER_RABIN_LIMIT}")
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n < 41 * 41:  # no prime factor up to 37, so none at all
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    limit = isqrt(n)
-    while f <= limit:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

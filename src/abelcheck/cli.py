@@ -4,8 +4,16 @@ Three commands: ``analyze`` runs the symbolic deciders on a group
 expression, ``oracle`` runs the finite-group oracle, ``crosscheck``
 replays the oracle's internal consistency suites on random instances.
 
-Exit codes: 0 ok, 2 parse error, 3 bound exceeded, 4 invariant
-violation.  JSON output is byte-identical for identical inputs and
+Exit codes, all decided in ``main``: 0 ok; 2 parse error (``ParseError``
+or ``ValueError``: a bad expression, group string or matrix, the wrong
+number of oracle arguments, ``--count`` < 0, ``--bound`` or
+``--max-prime`` < 2); 3 bound exceeded (``BoundExceeded``); 4
+invariant violation (``InternalConsistencyError``).  The commands raise
+and never print these; the one exit code a command returns itself is
+crosscheck's 4 for failed suites, a verdict that comes with its
+counterexamples on stderr.
+
+JSON output is byte-identical for identical inputs and
 seed; wall-clock timing therefore only appears in human-readable
 output (the JSON envelope carries ``timing_ms: null``).  Every JSON
 document, on stdout and in crosscheck's stderr dump, comes from one
@@ -17,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import random
 import sys
 import time
@@ -26,13 +33,8 @@ from math import inf, prod
 
 from . import __version__, finite
 from .deciders import is_poor, is_pure_split, pi_poor_necessary
-from .errors import BoundExceeded, InternalConsistencyError, ParseError
-from .finite import (
-    DEFAULT_ORDER_BOUND,
-    FiniteAbelianGroup,
-    Subgroup,
-    hom_space_size,
-)
+from .errors import AbelcheckError, BoundExceeded, InternalConsistencyError, ParseError
+from .finite import DEFAULT_ORDER_BOUND, FiniteAbelianGroup, Subgroup, hom_space_size
 from .groups import canonicalize, structural_predicates
 from .parser import parse, render
 from .snf import diagonal, smith_normal_form
@@ -160,11 +162,7 @@ def cmd_analyze(args) -> int:
     text = args.expression
     if text == "-":
         text = sys.stdin.read().strip()
-    try:
-        group = canonicalize(parse(text))
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
+    group = canonicalize(parse(text))
     canonical = render(group)
     predicates = structural_predicates(group).to_dict()
     poor = is_poor(group)
@@ -205,70 +203,44 @@ def _subgroup_row(index: int, sub: Subgroup) -> dict:
     }
 
 
-def _table_output(args, rows: list[dict], result: dict, started: float, raw_input: str) -> None:
-    if args.csv:
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        print(buf.getvalue(), end="")
-        return
-    lines = []
-    for row in rows:
-        lines.append("  ".join(f"{k}={v}" for k, v in row.items()))
-    _emit(_envelope(f"oracle {args.oracle_command}", raw_input, result), args.json, lines, started)
-
-
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
-    try:
-        if args.oracle_command == "snf":
-            matrix = _parse_matrix(args.args[0])
-            u, s, v = smith_normal_form(matrix)
-            result = {"matrix": matrix, "diagonal": diagonal(s), "u": u, "s": s, "v": v}
-            lines = [f"diagonal: {diagonal(s)}"]
-            _emit(_envelope("oracle snf", args.args[0], result), args.json, lines, started)
-            return 0
-
-        if args.oracle_command in ("rel-inj", "rel-pure-inj"):
-            if len(args.args) != 2:
-                raise ValueError(f"{args.oracle_command} needs exactly two groups")
-            m = FiniteAbelianGroup.from_string(args.args[0])
-            n = FiniteAbelianGroup.from_string(args.args[1])
-            if args.oracle_command == "rel-inj":
-                verdict = finite.is_relatively_injective(m, n, bound=args.bound)
-            else:
-                verdict = finite.is_relatively_pure_injective(m, n, bound=args.bound)
-            key = args.oracle_command.replace("-", "_")
-            result = {"m": str(m), "n": str(n), key: verdict}
-            lines = [f"{args.oracle_command}({m}, {n}) = {str(verdict).lower()}"]
-            _emit(_envelope(f"oracle {args.oracle_command}", " ".join(args.args), result),
-                  args.json, lines, started)
-            return 0
-
-        group = FiniteAbelianGroup.from_string(args.args[0])
+    command = args.oracle_command
+    pair = command in ("rel-inj", "rel-pure-inj")
+    if len(args.args) != 1 + pair:
+        raise ValueError(f"{command} needs exactly {'two groups' if pair else 'one argument'}")
+    raw_input = " ".join(args.args)
+    if command == "snf":
+        matrix = _parse_matrix(raw_input)
+        u, s, v = smith_normal_form(matrix)
+        result = {"matrix": matrix, "diagonal": diagonal(s), "u": u, "s": s, "v": v}
+        lines = [f"diagonal: {diagonal(s)}"]
+    elif pair:
+        m, n = map(FiniteAbelianGroup.from_string, args.args)
+        decide = finite.is_relatively_injective if command == "rel-inj" else finite.is_relatively_pure_injective
+        verdict = decide(m, n, bound=args.bound)
+        result = {"m": str(m), "n": str(n), command.replace("-", "_"): verdict}
+        lines = [f"{command}({m}, {n}) = {str(verdict).lower()}"]
+    else:
+        group = FiniteAbelianGroup.from_string(raw_input)
         subs = finite.enumerate_subgroups(group, bound=args.bound)
         rows = []
         for i, sub in enumerate(subs):
             row = _subgroup_row(i, sub)
-            if args.oracle_command in ("pure", "summand"):
+            if command in ("pure", "summand"):
                 row["pure"] = finite.is_pure_subgroup(sub, group)
-            if args.oracle_command == "summand":
+            if command == "summand":
                 row["summand"] = finite.is_direct_summand(sub, group)
             rows.append(row)
+        if args.csv:  # every group has the zero subgroup, so rows[0] exists
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+            return 0
         result = {"group": str(group), "subgroup_count": len(subs), "rows": rows}
-        _table_output(args, rows, result, started, args.args[0])
-        return 0
-    except (ParseError, ValueError) as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
-    except BoundExceeded as err:
-        print(f"bound exceeded: {err}", file=sys.stderr)
-        return 3
-    except InternalConsistencyError as err:
-        print(f"invariant violation: {err}", file=sys.stderr)
-        return 4
+        lines = ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]
+    _emit(_envelope(f"oracle {command}", raw_input, result), args.json, lines, started)
+    return 0
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -313,7 +285,7 @@ def _shrink_hom_instance(g, m, h, f):
             try:
                 snf_v = finite.hom_extends(trimmed, sub, g, m)
                 brute_v = finite.hom_extends_bruteforce(trimmed, sub, g, m, cap=CROSSCHECK_HOM_CAP)
-            except Exception:
+            except (AbelcheckError, ValueError):  # the deciders refuse this trimmed instance
                 continue
             if snf_v != brute_v:
                 current = trimmed
@@ -337,10 +309,10 @@ def _hom_instance_dict(g, m, h, f, snf_v, brute_v) -> dict:
 def cmd_crosscheck(args) -> int:
     started = time.perf_counter()
     # Sampled groups need a prime to draw from and room for an order-2 factor.
-    for flag, value in (("--bound", args.bound), ("--max-prime", args.max_prime)):
-        if value < 2:
-            print(f"parse error: {flag} must be at least 2, got {value}", file=sys.stderr)
-            return 2
+    for flag, value, least in (("--count", args.count, 0), ("--bound", args.bound, 2),
+                               ("--max-prime", args.max_prime, 2)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     bound = args.bound
     max_order = min(bound, CROSSCHECK_MAX_ORDER)
@@ -348,72 +320,63 @@ def cmd_crosscheck(args) -> int:
     checks = []
     failures = []
 
+    def record(name: str, instances: int, found: list[dict]) -> None:
+        checks.append({"name": name, "instances": instances, "failures": len(found),
+                       "counterexamples": found[:3]})
+        failures.extend(found)
+
     # 1. every sampled finite group is pure-split
-    fail_ps = []
+    found = []
     for _ in range(args.count):
         group = _random_group(rng, max_order, primes)
         witness = finite.first_pure_non_summand(group, bound=bound)
         if witness is not None:
-            fail_ps.append({
+            found.append({
                 "group": str(group),
                 "pure_non_summand_generators": [list(g) for g in witness.generating_set()],
             })
-    checks.append({"name": "pure_split_finite", "instances": args.count, "failures": len(fail_ps),
-                   "counterexamples": fail_ps[:3]})
-    failures.extend(fail_ps)
+    record("pure_split_finite", args.count, found)
 
     # 2. relative injectivity between cyclic p-power groups follows m >= n
-    count_tab = 0
-    fail_tab = []
-    for p in primes:
-        for e_m in range(1, 4):
-            for e_n in range(1, 4):
-                if p ** max(e_m, e_n) > bound:
-                    continue
-                count_tab += 1
-                got = finite.is_relatively_injective(
-                    FiniteAbelianGroup([p**e_m]), FiniteAbelianGroup([p**e_n]), bound=bound)
-                if got != (e_m >= e_n):
-                    fail_tab.append({"p": p, "m_exponent": e_m, "n_exponent": e_n, "verdict": got})
-    checks.append({"name": "relative_injectivity_table", "instances": count_tab,
-                   "failures": len(fail_tab), "counterexamples": fail_tab[:3]})
-    failures.extend(fail_tab)
+    table = [(p, e_m, e_n) for p in primes for e_m in range(1, 4) for e_n in range(1, 4)
+             if p ** max(e_m, e_n) <= bound]
+    found = []
+    for p, e_m, e_n in table:
+        got = finite.is_relatively_injective(
+            FiniteAbelianGroup([p**e_m]), FiniteAbelianGroup([p**e_n]), bound=bound)
+        if got != (e_m >= e_n):
+            found.append({"p": p, "m_exponent": e_m, "n_exponent": e_n, "verdict": got})
+    record("relative_injectivity_table", len(table), found)
 
     # 3. SNF-based extension decision agrees with exhaustive enumeration
-    count_dual = 0
-    fail_dual = []
-    while count_dual < args.count:
+    found = []
+    drawn = 0
+    while drawn < args.count:
         g = _random_group(rng, max_order, primes)
         m = _random_group(rng, max_order, primes)
         if hom_space_size(g, m) > CROSSCHECK_HOM_CAP:
             continue
         h = _random_subgroup(rng, g)
         f = finite.sample_homomorphism(h, m, rng)
-        count_dual += 1
+        drawn += 1
         snf_v = finite.hom_extends(f, h, g, m)
         brute_v = finite.hom_extends_bruteforce(f, h, g, m, cap=CROSSCHECK_HOM_CAP)
         if snf_v != brute_v:
             h2, f2 = _shrink_hom_instance(g, m, h, f)
-            fail_dual.append(_hom_instance_dict(g, m, h2, f2, snf_v, brute_v))
-    checks.append({"name": "hom_extends_dual", "instances": count_dual,
-                   "failures": len(fail_dual), "counterexamples": fail_dual[:3]})
-    failures.extend(fail_dual)
+            found.append(_hom_instance_dict(g, m, h2, f2, snf_v, brute_v))
+    record("hom_extends_dual", args.count, found)
 
-    total_failures = sum(c["failures"] for c in checks)
     result = {
         "seed": args.seed,
         "count": args.count,
         "bound": bound,
         "max_prime": args.max_prime,
         "checks": checks,
-        "total_failures": total_failures,
+        "total_failures": len(failures),
     }
-    lines = [
-        f"{c['name']}: {c['instances']} instances, {c['failures']} failures"
-        for c in checks
-    ]
+    lines = [f"{c['name']}: {c['instances']} instances, {c['failures']} failures" for c in checks]
     _emit(_envelope("crosscheck", f"seed={args.seed}", result), args.json, lines, started)
-    if total_failures:
+    if failures:
         print(_dumps({"counterexamples": failures[:10]}), file=sys.stderr)
         return 4
     return 0
@@ -457,7 +420,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, ValueError) as err:
+        message, code = f"parse error: {err}", 2
+    except BoundExceeded as err:
+        message, code = f"bound exceeded: {err}", 3
+    except InternalConsistencyError as err:
+        message, code = f"invariant violation: {err}", 4
+    print(message, file=sys.stderr)
+    return code
 
 
 def entry() -> None:  # console script

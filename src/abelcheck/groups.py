@@ -433,20 +433,6 @@ def direct_sum(*groups: CanonicalGroup) -> CanonicalGroup:
 # Structural queries.
 
 
-def is_bounded(g: CanonicalGroup) -> bool:
-    """Some nonzero integer kills g.
-
-    False for any group with a torsion-free summand, a quasicyclic or
-    tower part, or torsion at infinitely many primes (nontrivial
-    generic shape).
-    """
-    if g.rationals:
-        return False
-    if not g.generic.is_trivial:
-        return False
-    return all(shape.is_bounded for _, shape in g.exceptions)
-
-
 def torsion_free_rank(g: CanonicalGroup) -> Multiplicity:
     rank: Multiplicity = 0
     for _, m in g.rationals:
@@ -494,6 +480,6 @@ __all__ = [
     "FixedExponent", "PruferAll", "UnboundedTower", "PrimeFamily",
     "GroupDescriptor", "LocalShape", "TRIVIAL_SHAPE",
     "CanonicalGroup", "ZERO_GROUP", "canonicalize", "group_of", "direct_sum",
-    "is_bounded", "torsion_free_rank",
+    "torsion_free_rank",
     "StructuralSummary", "structural_predicates",
 ]

@@ -20,7 +20,7 @@ parsing starts, so a bad character anywhere is reported first.
 
 from __future__ import annotations
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 from .characteristics import CHAR_Q, CHAR_Z, INF, Characteristic, height_to_text, localization_char
 from .errors import ParseError
 from .groups import (
@@ -105,10 +105,11 @@ class _Parser:
         if is_prime(p):
             return p
         message = f"{p} is not prime"
-        fac = factorize(p) if hint and p > 1 else {}
-        if len(fac) == 1:
-            (q, e), = fac.items()
-            message += f"; must be Z({q}^{e})"
+        for e in range(2, p.bit_length()) if hint else ():
+            q = round(p ** (1 / e))  # p has at most 18 digits: the float root rounds to q
+            if q**e == p and is_prime(q):
+                message += f"; must be Z({q}^{e})"
+                break
         raise ParseError(message, pos)
 
     def exponent(self, what: str):

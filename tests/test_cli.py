@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from abelcheck import cli, finite
 from abelcheck.arith import factorize
 from abelcheck.cli import main
+from abelcheck.errors import BoundExceeded, InternalConsistencyError
 from abelcheck.snf import smith_normal_form
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -24,6 +26,54 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def raising(error):
+    def raiser(*args, **kwargs):
+        raise error
+    return raiser
+
+
+def zero_diagonal(a):
+    u, s, v = smith_normal_form(a)
+    return u, [[0] * len(row) for row in s], v
+
+
+# (argv, (module, name, replacement) or None, exit code, stderr prefix)
+EXIT_CODE_CASES = {
+    "analyze-parse": (["analyze", "Z(4)"], None, 2, "parse error: 4 is not prime; must be Z(2^2)"),
+    "analyze-invariant": (["analyze", "Z(2)"], (cli, "is_poor", raising(InternalConsistencyError("rows disagree"))),
+                          4, "invariant violation: rows disagree"),
+    "oracle-extra-group": (["oracle", "subgroups", "Z2", "Z3"], None, 2,
+                           "parse error: subgroups needs exactly one argument"),
+    "oracle-extra-matrix": (["oracle", "snf", "1,2;3,4", "extra"], None, 2,
+                            "parse error: snf needs exactly one argument"),
+    "oracle-one-group": (["oracle", "rel-inj", "Z2"], None, 2, "parse error: rel-inj needs exactly two groups"),
+    "oracle-bound": (["oracle", "subgroups", "Z1024"], None, 3, "bound exceeded: |G| = 1024"),
+    "oracle-invariant": (["oracle", "summand", "Z2 x Z4"], (finite, "smith_normal_form", zero_diagonal),
+                         4, "invariant violation: "),
+    "crosscheck-count": (["crosscheck", "--count", "-1"], None, 2, "parse error: --count must be at least 0, got -1"),
+    "crosscheck-bound": (["crosscheck", "--count", "2"],
+                         (finite, "first_pure_non_summand", raising(BoundExceeded("too many subgroups"))),
+                         3, "bound exceeded: too many subgroups"),
+    "crosscheck-invariant": (["crosscheck", "--count", "2"],
+                             (finite, "hom_extends", raising(InternalConsistencyError("solver disagrees"))),
+                             4, "invariant violation: solver disagrees"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CODE_CASES)
+def test_exit_code_contract(capsys, monkeypatch, case):
+    # One error boundary in main: each error class has one exit code and
+    # one stderr prefix, whichever command raised it, and nothing reaches
+    # stdout first.
+    argv, patch, expected_code, prefix = EXIT_CODE_CASES[case]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (expected_code, "")
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
 
 
 class TestAnalyze:
@@ -59,6 +109,20 @@ class TestAnalyze:
         assert code == 2
         assert "parse error" in err
         assert "position" in err
+
+    @pytest.mark.parametrize("expression, code, message", [
+        ("Z(1000000000000037)", 0, ""),
+        ("tower(999999999999999989)", 0, ""),
+        ("Z(999999874000003969)", 2, "parse error: 999999874000003969 is not prime; must be Z(999999937^2)"),
+        ("Z(999999866000004473)", 2, "parse error: 999999866000004473 is not prime (at position 2)"),
+    ])
+    def test_long_prime_literals_are_decided_at_once(self, capsys, expression, code, message):
+        # Trial division took seconds to hours on these 16- and 18-digit literals.
+        started = time.perf_counter()
+        got, _, err = run(capsys, "analyze", expression, "--json")
+        assert time.perf_counter() - started < 1.0
+        assert got == code
+        assert err.startswith(message)
 
     def test_stdin(self, capsys, monkeypatch):
         import io
@@ -202,10 +266,6 @@ class TestOracle:
         assert digest.hexdigest() == "fe8ba6e60c985f4153b124294e9cc8c5eb0704fb2cc4d0bd6c0a69fb072528fe"
 
     def test_invariant_violation_exit_4(self, capsys, monkeypatch):
-        def zero_diagonal(a):
-            u, s, v = smith_normal_form(a)
-            return u, [[0] * len(row) for row in s], v
-
         monkeypatch.setattr(finite, "smith_normal_form", zero_diagonal)
         code, _, err = run(capsys, "oracle", "summand", "Z2 x Z4", "--json")
         assert code == 4
@@ -286,9 +346,12 @@ class TestCrosscheck:
     def test_corrupted_solver_exits_4(self, capsys, monkeypatch):
         real = finite.hom_extends
         monkeypatch.setattr(finite, "hom_extends", lambda *a, **k: not real(*a, **k))
-        code, _, err = run(capsys, "crosscheck", "--seed", "1", "--count", "3", "--json")
+        code, env, err = run_json(capsys, "crosscheck", "--seed", "1", "--count", "3", "--json")
         assert code == 4
         assert "hom_extends" in err or "counterexamples" in err
+        checks = {c["name"]: c for c in env["result"]["checks"]}
+        assert checks["hom_extends_dual"]["failures"] == 3 == env["result"]["total_failures"]
+        assert len(checks["hom_extends_dual"]["counterexamples"]) == 3
 
     @pytest.mark.parametrize("flag", ["--bound", "--max-prime"])
     @pytest.mark.parametrize("value", ["1", "0", "-3"])
@@ -318,3 +381,24 @@ class TestCrosscheck:
         assert {min(factorize(f)) for g in drawn for f in g.factors} == primes
         table = {c["name"]: c for c in env["result"]["checks"]}["relative_injectivity_table"]
         assert table["instances"] == 9 * len(primes)
+
+    def test_shrinker_lets_unexpected_errors_through(self, capsys, monkeypatch):
+        # The shrinker skips only the deciders' refusals.  Here the decider
+        # disagrees once, crashes on the next call (the shrinker's first
+        # try) and is right afterwards: the crash must reach the caller.
+        real = finite.hom_extends
+        calls = []
+
+        def flaky(f, *args, **kwargs):
+            if calls:
+                calls.append(f)
+                if len(calls) == 2:
+                    raise RuntimeError("decider crashed")
+            elif len(f) >= 2:  # the shrinker needs two generators to drop one
+                calls.append(f)
+                return not real(f, *args, **kwargs)
+            return real(f, *args, **kwargs)
+        monkeypatch.setattr(finite, "hom_extends", flaky)
+        with pytest.raises(RuntimeError, match="decider crashed"):
+            main(["crosscheck", "--seed", "1", "--count", "100", "--json"])
+        assert len(calls) == 2

@@ -20,7 +20,6 @@ from abelcheck.groups import (
     canonicalize,
     direct_sum,
     group_of,
-    is_bounded,
     mul_mult,
     structural_predicates,
     torsion_free_rank,
@@ -141,18 +140,6 @@ class TestPartExtractors:
 
 
 class TestBoundedAndRank:
-    def test_is_bounded_examples(self):
-        assert is_bounded(group_of((CyclicAtom(2, 1), OMEGA), CyclicAtom(2, 3)))
-        assert not is_bounded(group_of(ALL_PRIMES_Z_P))
-        assert not is_bounded(group_of(TowerAtom(2)))
-
-    def test_bounded_is_false_off_torsion(self):
-        assert not is_bounded(group_of(RationalAtom(CHAR_Z)))
-        assert not is_bounded(group_of(PruferAtom(3)))
-
-    def test_zero_group_is_bounded(self):
-        assert is_bounded(ZERO_GROUP)
-
     def test_rank_examples(self):
         g = group_of(RationalAtom(CHAR_Z), RationalAtom(CHAR_Z), CyclicAtom(2, 2))
         assert torsion_free_rank(g) == 2
@@ -201,7 +188,7 @@ class TestPredicates:
                 continue
             seen += 1
             for p in primes_upto(31):
-                assert is_bounded(g.p_primary(p))
+                assert g.local_at(p).is_bounded
         assert seen > 20
 
 
