@@ -4,14 +4,16 @@ Three commands: ``analyze`` runs the symbolic deciders on a group
 expression, ``oracle`` runs the finite-group oracle, ``crosscheck``
 replays the oracle's internal consistency suites on random instances.
 
-Exit codes, all decided in ``main``: 0 ok; 2 parse error (``ParseError``
+Exit codes, all decided in ``main``: 0 ok; 1 stdout's reader closed the
+pipe early (``| head``), with no traceback; 2 parse error (``ParseError``
 or ``ValueError``: a bad expression, group string or matrix, the wrong
-number of oracle arguments, ``--count`` < 0, ``--bound`` or
-``--max-prime`` < 2); 3 bound exceeded (``BoundExceeded``); 4
-invariant violation (``InternalConsistencyError``).  The commands raise
-and never print these; the one exit code a command returns itself is
-crosscheck's 4 for failed suites, a verdict that comes with its
-counterexamples on stderr.
+number of oracle arguments, ``--csv`` on a command other than
+``subgroups``, ``pure`` and ``summand`` or together with ``--json``,
+``--count`` < 0, ``--bound`` or ``--max-prime`` < 2); 3 bound exceeded
+(``BoundExceeded``); 4 invariant violation
+(``InternalConsistencyError``).  The commands raise and never print
+these; the one exit code a command returns itself is crosscheck's 4 for
+failed suites, a verdict that comes with its counterexamples on stderr.
 
 JSON output is byte-identical for identical inputs and
 seed; wall-clock timing therefore only appears in human-readable
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import random
 import sys
 import time
@@ -209,6 +212,10 @@ def cmd_oracle(args) -> int:
     pair = command in ("rel-inj", "rel-pure-inj")
     if len(args.args) != 1 + pair:
         raise ValueError(f"{command} needs exactly {'two groups' if pair else 'one argument'}")
+    if args.csv and (pair or command == "snf"):
+        raise ValueError(f"--csv applies only to subgroups, pure and summand, not to {command}")
+    if args.csv and args.json:
+        raise ValueError("--csv and --json exclude each other")
     raw_input = " ".join(args.args)
     if command == "snf":
         matrix = _parse_matrix(raw_input)
@@ -421,7 +428,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``).  Point stdout at
+        # devnull so the flush at exit cannot fail again, and exit 1 as
+        # Python does on EPIPE (see the SIGPIPE note in the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ValueError) as err:
         message, code = f"parse error: {err}", 2
     except BoundExceeded as err:

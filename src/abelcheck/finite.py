@@ -19,6 +19,15 @@ bookkeeping on the direct sum: the elements of every subgroup are still
 added up one by one, and none of the pure or summand theorems the oracle
 checks is used.
 
+A subgroup's invariant presentation (its invariant factors and a change
+of basis from its generators) comes from the walk that picks its greedy
+generators.  Adjoining each generator x_u coset by coset reaches the
+first multiple n_u*x_u in the span of the generators before it, and
+where it lands there gives one chain relation per generator.  These
+relations generate every relation among the generators, so one Smith
+reduction of their t x t triangular matrix gives the presentation; no
+kernel is computed, and again elements are only added up.
+
 Groups are direct sums of cyclic groups of prime-power order; elements
 are residue tuples with mixed-radix codes, subgroups bitmasks of codes.
 """
@@ -26,7 +35,8 @@ are residue tuples with mixed-radix codes, subgroups bitmasks of codes.
 from __future__ import annotations
 
 import re
-from itertools import compress, count, product
+from functools import lru_cache
+from itertools import compress, count, filterfalse, product
 from math import gcd, lcm, prod
 from typing import Collection, Iterable, Mapping
 
@@ -191,13 +201,19 @@ class FiniteAbelianGroup:
         return out
 
     def _code_order(self, x: int) -> int:
-        """The order of the element with code x, from its digits x // s % m
-        (cached per code)."""
-        orders = self._cache.setdefault("orders", {})
-        out = orders.get(x)
-        if out is None:
-            out = orders[x] = lcm(*[m // gcd(m, x // s % m) for m, s in zip(self.factors, self._strides)])
-        return out
+        """The order of the element with code x."""
+        return -self._order_keys([x])[x]
+
+    def _order_keys(self, codes: Iterable[int]) -> dict[int, int]:
+        """The group's cache of minus each code's order, first filled for
+        ``codes``: the order of x is the lcm over its digits x // s % m.
+        Sorting by it puts larger orders first."""
+        keys = self._cache.setdefault("orders", {})
+        missing = list(filterfalse(keys.__contains__, codes))
+        if missing:
+            digits = list(zip(self.factors, self._strides))
+            keys.update(zip(missing, [-lcm(*[m // gcd(m, x // s % m) for m, s in digits]) for x in missing]))
+        return keys
 
     def primary_components(self) -> list[tuple[int, "FiniteAbelianGroup", list[int]]]:
         """(prime, component group, coordinate positions) per prime."""
@@ -284,21 +300,11 @@ class Subgroup:
         return f"<subgroup of {self.group} generated by {gens}>"
 
     def generating_set(self) -> list[Element]:
-        """Deterministic greedy generators (largest element order first)."""
+        """Deterministic greedy generators: the elements by decreasing
+        order, then increasing code, each kept when it is not in the span
+        of those kept before it (see ``_chain_walk``)."""
         if self._gens is None:
-            g = self.group
-            order = g._code_order
-            span = {0}
-            chosen: list[int] = []
-            by_order = sorted(_set_bits(self._mask), key=lambda c: (-order(c), c))
-            for code in by_order:
-                if code in span:
-                    continue
-                chosen.append(code)
-                _adjoin(g, span, code)
-                if len(span) == self.order:
-                    break
-            self._gens = [g.decode(c) for c in chosen]
+            self._gens = list(map(self.group.decode, _chain_walk(self)[0]))
         return list(self._gens)
 
 
@@ -342,6 +348,55 @@ def _adjoin(group: FiniteAbelianGroup, span: set[int], g: int) -> None:
         span.add(x)
         span.update([add(x, h) for h in base])
         x = add(x, g)
+
+
+@lru_cache(maxsize=1)  # generating_set() and the presentation of one subgroup share a walk
+def _chain_walk(h: Subgroup) -> tuple[list[int], list[list[int]]]:
+    """The codes of h's greedy generators x_1, ..., x_t and their chain
+    relations, as the rows of a t x t lower triangular integer matrix.
+
+    The walk takes h's elements by decreasing order, then increasing
+    code, and adjoins each x_u not in the span S of the generators
+    before it, coset by coset: S, x_u + S, 2x_u + S, ... up to the first
+    n_u with n_u*x_u in S.  Listed in that order, the element at
+    position q of the grown span is (q // |S|)*x_u plus the element at
+    position q % |S| of S, so the position of n_u*x_u in S gives, by
+    repeated divmod by the earlier span sizes, the c_v of its chain
+    relation n_u*x_u = sum over v < u of c_v*x_v.  Row u is
+    (-c_1, ..., -c_(u-1), n_u, 0, ..., 0), so |det| = n_1*...*n_t = |h|.
+    These relations generate every relation among the x_u (see
+    ``_validated_instance``).
+    """
+    g = h.group
+    codes = _set_bits(h._mask)
+    keys = g._order_keys(codes)
+    add = g._add_codes
+    span, members = [0], {0}  # the span so far, in coset order, and as a set
+    chosen: list[int] = []
+    sizes: list[int] = []  # |S| before each generator was adjoined
+    rows: list[list[int]] = []
+    for x in filterfalse(members.__contains__, sorted(codes, key=keys.__getitem__)):
+        size = len(span)
+        base = span[1:]  # x + 0 is x itself
+        y, n = x, 1
+        while y not in members:
+            coset = [y]
+            coset += [add(y, z) for z in base]
+            members.update(coset)
+            span += coset
+            y, n = add(y, x), n + 1
+        q = span.index(y)
+        row = [n]
+        for s in reversed(sizes):
+            c, q = divmod(q, s)
+            row.append(-c)
+        rows.append(row[::-1])
+        chosen.append(x)
+        sizes.append(size)
+        if len(span) == len(codes):
+            break
+    t = len(chosen)
+    return chosen, [row + [0] * (t - len(row)) for row in rows]
 
 
 def _require_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> None:
@@ -468,28 +523,21 @@ def is_pure_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> bool:
     return True
 
 
-def _relation_rows(g: FiniteAbelianGroup, gens: list[Element]) -> list[list[int]]:
-    """The integer relations among ``gens`` in g: the kernel of the
-    matrix [gens; diag(g.factors)], cut to its first len(gens) columns."""
-    if not gens:
-        return []
-    t = len(gens)
-    r = g.rank
-    mat = [list(e) for e in gens]
-    mat += [[g.factors[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    return [row[:t] for row in integer_row_kernel(mat)]
-
-
 def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[int], list[list[int]]]:
     """Generators, invariant-factor orders, and the change-of-basis V.
 
     Writes h with generators g_u and diagonal relations: there are
     abstract generators g'_i of order s_i with g_u = sum_i V[u][i] g'_i.
+    The g_u are ``h.generating_set()``, and one Smith reduction
+    U*R*V = S of their chain relations R, read off the same walk (see
+    ``_chain_walk``), gives the rest: the rows of R span the lattice of
+    relations among the g_u, and a -> a*V maps it onto the span of the
+    s_i*e_i.  No kernel is computed.
     """
     gens = h.generating_set()
     if not gens:
         return [], [], []
-    _, s, v = smith_normal_form(_relation_rows(h.group, gens))
+    _, s, v = smith_normal_form(_chain_walk(h)[1])
     orders = [s[i][i] for i in range(len(gens))]
     if not all(d > 0 for d in orders):
         raise InternalConsistencyError(f"finite subgroup {h!r} has relation invariants {orders}, "

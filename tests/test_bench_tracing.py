@@ -37,11 +37,11 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     for (module, attr), fn in originals.items():
         assert getattr(getattr(lib, module), attr) is fn, f"{module}.{attr} not restored"
 
-    # The library reaches the kernel and the hom enumeration through the
-    # names the tracer rebinds.
+    # The library reaches the Smith reduction and the hom enumeration
+    # through the names the tracer rebinds.
     layers = tracer.per_layer(1)
     assert layers["finite.enumerate_subgroups.calls"] == 1
-    assert layers["snf.integer_row_kernel.calls"] > 0
+    assert layers["snf.smith_normal_form.calls"] > 0
     assert layers["finite.homs_enumerated"] > 0
     # JSON output is written through cli._emit, so the traced benchmark
     # times it as the cli.emit span.

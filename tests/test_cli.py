@@ -1,7 +1,10 @@
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from abelcheck.errors import BoundExceeded, InternalConsistencyError
 from abelcheck.snf import smith_normal_form
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -49,6 +53,12 @@ EXIT_CODE_CASES = {
     "oracle-extra-matrix": (["oracle", "snf", "1,2;3,4", "extra"], None, 2,
                             "parse error: snf needs exactly one argument"),
     "oracle-one-group": (["oracle", "rel-inj", "Z2"], None, 2, "parse error: rel-inj needs exactly two groups"),
+    "oracle-csv-snf": (["oracle", "snf", "2,4;6,8", "--csv"], None, 2,
+                       "parse error: --csv applies only to subgroups, pure and summand, not to snf"),
+    "oracle-csv-rel-inj": (["oracle", "rel-inj", "Z2", "Z4", "--csv"], None, 2,
+                           "parse error: --csv applies only to subgroups, pure and summand, not to rel-inj"),
+    "oracle-csv-json": (["oracle", "summand", "Z2 x Z4", "--json", "--csv"], None, 2,
+                        "parse error: --csv and --json exclude each other"),
     "oracle-bound": (["oracle", "subgroups", "Z1024"], None, 3, "bound exceeded: |G| = 1024"),
     "oracle-invariant": (["oracle", "summand", "Z2 x Z4"], (finite, "smith_normal_form", zero_diagonal),
                          4, "invariant violation: "),
@@ -299,6 +309,46 @@ class TestOracle:
         lines = out.strip().splitlines()
         assert lines[0] == "index,order,generators"
         assert len(lines) == 6
+
+    def test_csv_tables_are_golden(self, capsys):
+        # Recorded before --csv was refused where it does not apply.
+        digest = hashlib.sha256()
+        for command in ("subgroups", "pure", "summand"):
+            for group in ("Z2 x Z4 x Z3", "Z2 x Z2 x Z2", "Z9 x Z3"):
+                code, out, _ = run(capsys, "oracle", command, group, "--csv")
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == "39527e5f57e162b9d52ef3bc2a5a07298b931674f8125df6d4beae98bfa72340"
+
+    def test_rel_inj_verdicts_are_golden(self, capsys):
+        # Both relative-injectivity oracles on all 576 ordered pairs of
+        # groups of order 2-16; recorded before presentations came from
+        # the greedy walk's chain relations.
+        groups = [str(g) for g in finite.isomorphism_classes_upto(16) if g.order > 1]
+        assert len(groups) ** 2 == 576
+        digest = hashlib.sha256()
+        for m in groups:
+            for n in groups:
+                for command in ("rel-inj", "rel-pure-inj"):
+                    code, out, _ = run(capsys, "oracle", command, m, n, "--json")
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == "80da8e92365b02a38f39a0ffdc9f45180e47b0ca22a0eed9876896a58066db3f"
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # Like `| head -2`: the reader takes two lines and closes the
+        # pipe while the 356 kB of JSON are still being written.
+        proc = subprocess.Popen([sys.executable, "-m", "abelcheck.cli", "oracle", "subgroups",
+                                 "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "--json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert head == [b"{\n", b'  "version": "0.1.0",\n']
+        assert proc.wait(timeout=60) == 1
+        assert err == ""  # no BrokenPipeError traceback
 
     def test_bad_group_string_exit_2(self, capsys):
         code, _, err = run(capsys, "oracle", "subgroups", "Zfoo")

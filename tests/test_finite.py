@@ -23,7 +23,6 @@ from abelcheck.finite import (
     _combo,
     _extension_exists,
     _hom_choices,
-    _relation_rows,
     _validated_instance,
     abstract_presentation,
     element_height,
@@ -43,7 +42,7 @@ from abelcheck.finite import (
     quotient,
     sample_homomorphism,
 )
-from abelcheck.snf import smith_normal_form
+from abelcheck.snf import integer_row_kernel, smith_normal_form
 
 Z = FiniteAbelianGroup
 
@@ -213,6 +212,18 @@ def rel_inj_by_every_hom(m, n, pure_only=False):
         if not _extension_exists(n, k.generating_set(), _every_hom_on_generators(k, m), m):
             return False
     return True
+
+
+def _relation_rows(g, gens):
+    """The integer relations among ``gens`` in g: the kernel of the
+    matrix [gens; diag(g.factors)], cut to its first len(gens) columns."""
+    if not gens:
+        return []
+    t = len(gens)
+    r = g.rank
+    mat = [list(e) for e in gens]
+    mat += [[g.factors[i] if j == i else 0 for j in range(r)] for i in range(r)]
+    return [row[:t] for row in integer_row_kernel(mat)]
 
 
 def reference_validated_instance(f, h, g, m):
@@ -798,6 +809,70 @@ class TestHomExtension:
             assert [f[x] for x in h.generating_set()] in list(_every_hom_on_generators(h, m))
             digest.update(repr(sorted(f.items())).encode())
         assert digest.hexdigest() == "17570ca002cce4c4cdbe3367d2cbd0b0af6f5d14a2c3ea746f98786757519260"
+
+
+def chain_subgroups():
+    """Every subgroup of every group of order <= 64, then 2,000 seeded
+    generated subgroups of groups of rank <= 4 and order <= 512."""
+    for g in isomorphism_classes_upto(64):
+        for h in enumerate_subgroups(g):
+            yield h
+    rng = random.Random(2017)
+    drawn = 0
+    while drawn < 2000:
+        g = Z([rng.choice([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]) for _ in range(rng.randint(1, 4))])
+        if g.order > 512:
+            continue
+        drawn += 1
+        yield Subgroup.generated_by(g, [g.decode(rng.randrange(g.order)) for _ in range(rng.randint(0, 4))])
+
+
+class TestChainPresentation:
+    def test_matches_kernel_reference(self):
+        # The walk's chain relations against the kernel of
+        # [gens; diag(factors)], the route they replaced.
+        seen = 0
+        for h in chain_subgroups():
+            g = h.group
+            codes, rows = finite._chain_walk(h)
+            gens = h.generating_set()
+            assert [g.decode(c) for c in codes] == gens
+            t = len(gens)
+            assert len(rows) == t and all(len(row) == t for row in rows)
+            assert all(rows[u][v] == 0 for u in range(t) for v in range(u + 1, t))  # lower triangular
+            for row in rows:
+                assert _combo(g, row, gens) == g.zero()
+            det = 1
+            for u in range(t):
+                det *= rows[u][u]
+            assert abs(det) == h.order
+            _, orders, _ = finite._invariant_presentation(h)
+            reference = smith_normal_form(_relation_rows(g, gens))[1] if gens else []
+            assert orders == [reference[i][i] for i in range(t)]
+            abstract, images = abstract_presentation(h)
+            assert abstract.order == h.order
+            assert Subgroup.generated_by(abstract, images).order == abstract.order
+            assert [abstract.element_order(im) for im in images] == [g.element_order(ge) for ge in gens]
+            seen += 1
+        assert seen == 8022  # 6,022 subgroups of the groups of order <= 64, then 2,000 drawn
+
+    def test_one_smith_reduction_per_nontrivial_subgroup(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("presentations need no kernel")
+
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return smith_normal_form(a)
+
+        monkeypatch.setattr(finite, "integer_row_kernel", forbidden)
+        monkeypatch.setattr(finite, "smith_normal_form", counted)
+        for g in (Z([2] * 5), Z([4, 8, 3]), Z([9, 27])):
+            for h in enumerate_subgroups(g):
+                calls.clear()
+                finite._invariant_presentation(h)
+                assert len(calls) == (h.order > 1)
 
 
 class TestAbstractPresentation:
