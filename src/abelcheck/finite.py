@@ -19,14 +19,17 @@ bookkeeping on the direct sum: the elements of every subgroup are still
 added up one by one, and none of the pure or summand theorems the oracle
 checks is used.
 
-A subgroup's invariant presentation (its invariant factors and a change
-of basis from its generators) comes from the walk that picks its greedy
-generators.  Adjoining each generator x_u coset by coset reaches the
-first multiple n_u*x_u in the span of the generators before it, and
-where it lands there gives one chain relation per generator.  These
-relations generate every relation among the generators, so one Smith
-reduction of their t x t triangular matrix gives the presentation; no
-kernel is computed, and again elements are only added up.
+One walk grows the span of a list of elements, and it serves the
+generated subgroups, the greedy generating sets, the invariant
+presentations and the validation of homs given on generators.
+Adjoining each element x coset by coset reaches the first multiple n*x
+in the span of the elements before it, and where it lands there gives
+x's chain relation.  These relations generate every relation among the
+elements, so one Smith reduction of the greedy generators' t x t
+triangular matrix gives a subgroup's invariant presentation (its
+invariant factors and a change of basis from its generators), and a map
+on generators is a well-defined hom when its images satisfy each chain
+relation; no kernel is computed, and again elements are only added up.
 
 Groups are direct sums of cyclic groups of prime-power order; elements
 are residue tuples with mixed-radix codes, subgroups bitmasks of codes.
@@ -43,7 +46,7 @@ from typing import Collection, Iterable, Mapping
 from .arith import divisors, factorize, partitions
 from .characteristics import INF, Height
 from .errors import BoundExceeded, IllDefinedHom, InternalConsistencyError, NotASubgroup, NotCoprime
-from .snf import integer_row_kernel, smith_normal_form
+from .snf import smith_normal_form
 
 DEFAULT_ORDER_BOUND = 512
 DEFAULT_HOM_SPACE_CAP = 200_000
@@ -200,10 +203,6 @@ class FiniteAbelianGroup:
             out += (x // s + y // s) % m * s
         return out
 
-    def _code_order(self, x: int) -> int:
-        """The order of the element with code x."""
-        return -self._order_keys([x])[x]
-
     def _order_keys(self, codes: Iterable[int]) -> dict[int, int]:
         """The group's cache of minus each code's order, first filled for
         ``codes``: the order of x is the lcm over its digits x // s % m.
@@ -244,12 +243,12 @@ class Subgroup:
         # in some T within S that generates <S>; the greedy T has at most
         # log2|S| elements.
         add = group._add_codes
-        span = {0}
+        span, members, sizes = [0], {0}, []
         for x in codes:
-            if x not in span:
+            if x not in members:
                 if any(add(x, y) not in codes for y in codes):
                     raise NotASubgroup("element set is not closed under addition")
-                _adjoin(group, span, x)
+                _adjoin(group, span, members, sizes, x)
         self.group, self._mask, self._gens = group, _mask_of(codes), None
 
     @classmethod
@@ -260,10 +259,10 @@ class Subgroup:
 
     @classmethod
     def generated_by(cls, group: FiniteAbelianGroup, gens: Iterable[Element]) -> "Subgroup":
-        span = {0}
+        span, members, sizes = [0], {0}, []
         for g in gens:
-            _adjoin(group, span, group.encode(group.validate_element(g)))
-        return cls._from_mask(group, _mask_of(span))
+            _adjoin(group, span, members, sizes, group.encode(group.validate_element(g)))
+        return cls._from_mask(group, _mask_of(members))
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
@@ -334,65 +333,68 @@ def _set_bits(mask: int) -> list[int]:
     return list(compress(count(), bin(mask)[:1:-1].encode().replace(b"0", b"\0")))
 
 
-def _adjoin(group: FiniteAbelianGroup, span: set[int], g: int) -> None:
-    """Grow the subgroup ``span`` to span + <g> in place: add the cosets
-    g + span, 2g + span, ... until a multiple of g is already in it.
-    Each new element costs one addition, so the work follows the size
-    of the result, not of the group."""
-    if g in span:
-        return
+def _adjoin(group: FiniteAbelianGroup, span: list[int], members: set[int],
+            sizes: list[int], x: int) -> list[int]:
+    """Grow the span S of x_1, ..., x_k to S + <x> in place, and return
+    x's chain relation.
+
+    ``span`` lists S in coset order and ``members`` holds the same codes;
+    ``sizes`` holds |S| before each x_v that grew it.  The cosets x + S,
+    2x + S, ... are appended up to the first n with n*x in S (n = 1 when
+    x is already in S, and then nothing is appended), so the element at
+    position q of the grown span is (q // |S|)*x plus the element at
+    position q % |S| of S.  Each new element costs one addition, so the
+    work follows the size of the result, not of the group.  Repeated
+    divmod of the position of n*x by the earlier sizes gives the c_v of
+    n*x = sum over v of c_v*x_v, and the row returned is
+    (-c_1, ..., -c_k, n).
+
+    Over any list of elements, these rows generate every relation among
+    them: in a relation with coefficient c on the last element x, c*x
+    lies in the span of the elements before it, so n divides c, and
+    subtracting c/n times x's row leaves a relation among the elements
+    before it.  They are the power relations of a polycyclic
+    presentation (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, ch. 8).
+    """
     add = group._add_codes
-    base = span - {0}  # x + 0 is x itself
-    x = g
-    while x not in span:
-        span.add(x)
-        span.update([add(x, h) for h in base])
-        x = add(x, g)
+    size = len(span)
+    base = span[1:]  # y + 0 is y itself
+    y, n = x, 1
+    while y not in members:
+        coset = [y]
+        coset += [add(y, z) for z in base]
+        members.update(coset)
+        span += coset
+        y, n = add(y, x), n + 1
+    q = span.index(y)
+    row = [n]
+    for s in reversed(sizes):
+        c, q = divmod(q, s)
+        row.append(-c)
+    if n > 1:
+        sizes.append(size)
+    return row[::-1]
 
 
 @lru_cache(maxsize=1)  # generating_set() and the presentation of one subgroup share a walk
 def _chain_walk(h: Subgroup) -> tuple[list[int], list[list[int]]]:
     """The codes of h's greedy generators x_1, ..., x_t and their chain
-    relations, as the rows of a t x t lower triangular integer matrix.
+    relations (see ``_adjoin``), as the rows of a t x t lower triangular
+    integer matrix with |det| = n_1*...*n_t = |h|.
 
     The walk takes h's elements by decreasing order, then increasing
-    code, and adjoins each x_u not in the span S of the generators
-    before it, coset by coset: S, x_u + S, 2x_u + S, ... up to the first
-    n_u with n_u*x_u in S.  Listed in that order, the element at
-    position q of the grown span is (q // |S|)*x_u plus the element at
-    position q % |S| of S, so the position of n_u*x_u in S gives, by
-    repeated divmod by the earlier span sizes, the c_v of its chain
-    relation n_u*x_u = sum over v < u of c_v*x_v.  Row u is
-    (-c_1, ..., -c_(u-1), n_u, 0, ..., 0), so |det| = n_1*...*n_t = |h|.
-    These relations generate every relation among the x_u (see
-    ``_validated_instance``).
+    code, and adjoins each x_u not in the span of the generators before it.
     """
     g = h.group
     codes = _set_bits(h._mask)
     keys = g._order_keys(codes)
-    add = g._add_codes
-    span, members = [0], {0}  # the span so far, in coset order, and as a set
+    span, members, sizes = [0], {0}, []
     chosen: list[int] = []
-    sizes: list[int] = []  # |S| before each generator was adjoined
     rows: list[list[int]] = []
     for x in filterfalse(members.__contains__, sorted(codes, key=keys.__getitem__)):
-        size = len(span)
-        base = span[1:]  # x + 0 is x itself
-        y, n = x, 1
-        while y not in members:
-            coset = [y]
-            coset += [add(y, z) for z in base]
-            members.update(coset)
-            span += coset
-            y, n = add(y, x), n + 1
-        q = span.index(y)
-        row = [n]
-        for s in reversed(sizes):
-            c, q = divmod(q, s)
-            row.append(-c)
-        rows.append(row[::-1])
+        rows.append(_adjoin(g, span, members, sizes, x))
         chosen.append(x)
-        sizes.append(size)
         if len(span) == len(codes):
             break
     t = len(chosen)
@@ -531,8 +533,8 @@ def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[int], list
     The g_u are ``h.generating_set()``, and one Smith reduction
     U*R*V = S of their chain relations R, read off the same walk (see
     ``_chain_walk``), gives the rest: the rows of R span the lattice of
-    relations among the g_u, and a -> a*V maps it onto the span of the
-    s_i*e_i.  No kernel is computed.
+    relations among the g_u (see ``_adjoin``), and a -> a*V maps it onto
+    the span of the s_i*e_i.  No kernel is computed.
     """
     gens = h.generating_set()
     if not gens:
@@ -653,15 +655,10 @@ def _validated_instance(f: Mapping[Element, Element], h: Subgroup,
     """The keys of f, sorted, and their images, once f is known to define
     a hom h -> m.
 
-    One walk over the sorted keys builds the map on their span, as codes
-    in g to codes in m.  Adjoining a key x to the span S so far adds the
-    cosets x + S, 2x + S, ... with jx + s sent to j*f(x) + f(s), up to
-    the first n with nx in S; the map stays well defined iff n*f(x) is
-    the value already stored at nx (n = 1 for a key already in S).  These
-    chain relations generate every relation among the keys: in a
-    relation with coefficient c on the last key, c*x lies in the span of
-    the earlier keys, so n divides c, and subtracting c/n times that
-    key's chain relation leaves a relation among the earlier keys.
+    One walk over the sorted keys adjoins each key in turn (see
+    ``_adjoin``); f is well defined iff every key's chain relation kills
+    the images: n*f(x) equals the sum of c_v times the images of the keys
+    that grew the span, with n = 1 for a key already in it.
     """
     _require_subgroup(h, g)
     items = sorted(f.items())
@@ -672,22 +669,17 @@ def _validated_instance(f: Mapping[Element, Element], h: Subgroup,
             raise NotASubgroup(f"{ge} is not in the given subgroup")
     for im in images:
         m.validate_element(im)
-    g_add, m_add = g._add_codes, m._add_codes
-    value = {0: 0}
+    span, members, sizes = [0], {0}, []
+    grown: list[Element] = []  # the images of the keys that grew the span
     clash = None
     for ge, im in items:
-        x, y = g.encode(ge), m.encode(im)
-        nx, ny, n = x, y, 1
-        if x not in value:
-            base = list(value.items())[1:]  # all but (0, 0): nx + 0 is nx
-            while nx not in value:
-                value[nx] = ny
-                value.update([(g_add(nx, a), m_add(ny, b)) for a, b in base])
-                nx, ny, n = g_add(nx, x), m_add(ny, y), n + 1
-        if clash is None and value[nx] != ny:
-            clash = f"{n}*{ge} lies in the span of the keys before it, where the images disagree"
+        row = _adjoin(g, span, members, sizes, g.encode(ge))
+        if clash is None and _combo(m, row, grown + [im]) != m.zero():
+            clash = f"{row[-1]}*{ge} lies in the span of the keys before it, where the images disagree"
+        if row[-1] > 1:
+            grown.append(im)
     # the keys lie in h, so they generate it iff their span is as large
-    if len(value) != h.order:
+    if len(span) != h.order:
         raise ValueError("the map's keys do not generate the subgroup")
     if clash is not None:
         raise IllDefinedHom(clash)
@@ -699,10 +691,9 @@ def hom_extends(f: Mapping[Element, Element], h: Subgroup,
     """Whether the hom h -> m given on generators extends to g -> m.
 
     f maps a generating set of h to m; well-definedness is validated by
-    one walk over the keys that checks, for each key, the relation from
-    the first multiple of it that falls in the span of the keys before
-    it (IllDefinedHom otherwise); these relations generate the keys'
-    whole relation lattice (see ``_validated_instance``).  Existence is
+    one walk over the keys that checks each key's chain relation
+    (IllDefinedHom otherwise), and these relations generate every
+    relation among the keys (see ``_adjoin``).  Existence is
     decided by integer congruence solving; see hom_extends_bruteforce
     for the independent enumeration used to cross-check this path.
     """
@@ -814,23 +805,16 @@ def is_relatively_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
     because the homs that extend form a subgroup (see
     ``_all_homs_on_generators``); no pure, summand or injectivity
     theorem is assumed."""
-    for k in enumerate_subgroups(n, bound):
-        if not _extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m):
-            return False
-    return True
+    return all(_extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m)
+               for k in enumerate_subgroups(n, bound))
 
 
 def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
                                  bound: int | None = None) -> bool:
-    """Same quantification restricted to pure subgroups of n, with the
-    same generating-set argument; no pure, summand or injectivity
-    theorem is assumed (purity is tested by its definition)."""
-    for k in enumerate_subgroups(n, bound):
-        if not is_pure_subgroup(k, n):
-            continue
-        if not _extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m):
-            return False
-    return True
+    """The same check over the pure subgroups of n only (purity is tested
+    by its definition)."""
+    return all(_extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m)
+               for k in enumerate_subgroups(n, bound) if is_pure_subgroup(k, n))
 
 
 def _masks_by_order(subgroups: Iterable[Subgroup]) -> dict[int, list[int]]:

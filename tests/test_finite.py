@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from abelcheck import finite
+from abelcheck import finite, snf
 from abelcheck.arith import divisors
 from abelcheck.characteristics import INF
 from abelcheck.errors import (
@@ -303,7 +303,7 @@ class TestGroupBasics:
                 assert len(row) == g.order
                 for y in range(g.order):
                     assert row[y] == g._add_codes(x, y) == add_codes(g, x, y)
-                assert g._code_order(x) == g.element_order(g.decode(x))
+                assert -g._order_keys([x])[x] == g.element_order(g.decode(x))
 
     def test_small_subgroup_of_large_group_stays_cheap(self):
         # A subgroup is its |G|-bit mask, so work on one subgroup may take
@@ -675,6 +675,15 @@ class TestHomExtension:
         with pytest.raises(IllDefinedHom):
             hom_extends({(2,): (1,)}, h, z4, z4)
 
+    def test_key_in_span_of_earlier_keys(self):
+        # (2,) = 2*(1,) is in the span of the key before it, so its chain
+        # relation has n = 1 and its image must be 2*f((1,)).
+        z4 = Z([4])
+        h = Subgroup.whole(z4)
+        with pytest.raises(IllDefinedHom):
+            hom_extends({(1,): (1,), (2,): (3,)}, h, z4, z4)
+        assert hom_extends({(1,): (1,), (2,): (2,)}, h, z4, z4)
+
     def test_keys_must_generate(self):
         z4 = Z([4])
         h = Subgroup.whole(z4)
@@ -739,6 +748,7 @@ class TestHomExtension:
         # and NotASubgroup with the same message).
         rng = random.Random(617)
         outcomes = {}
+        redundant = {}  # outcomes of the instances with a key in the span of the keys before it
         for _ in range(5000):
             g = Z([rng.choice([2, 3, 4, 5, 8, 9]) for _ in range(rng.randint(1, 3))])
             m = Z([rng.choice([2, 3, 4, 8, 9]) for _ in range(rng.randint(1, 2))])
@@ -776,7 +786,12 @@ class TestHomExtension:
             else:
                 assert got == expected
             outcomes[type(expected).__name__] = outcomes.get(type(expected).__name__, 0) + 1
+            if isinstance(expected, (tuple, IllDefinedHom)):
+                keys = sorted(f)
+                if any(x in Subgroup.generated_by(g, keys[:i]) for i, x in enumerate(keys)):
+                    redundant[type(expected).__name__] = redundant.get(type(expected).__name__, 0) + 1
         assert outcomes["tuple"] >= 1000 and outcomes["IllDefinedHom"] >= 1000, outcomes
+        assert redundant.get("tuple", 0) >= 50 and redundant.get("IllDefinedHom", 0) >= 250, redundant
         assert outcomes["ValueError"] >= 250 and outcomes["NotASubgroup"] >= 20, outcomes
 
     def test_bruteforce_cap(self):
@@ -866,7 +881,7 @@ class TestChainPresentation:
             calls.append(a)
             return smith_normal_form(a)
 
-        monkeypatch.setattr(finite, "integer_row_kernel", forbidden)
+        monkeypatch.setattr(snf, "integer_row_kernel", forbidden)
         monkeypatch.setattr(finite, "smith_normal_form", counted)
         for g in (Z([2] * 5), Z([4, 8, 3]), Z([9, 27])):
             for h in enumerate_subgroups(g):
@@ -1015,8 +1030,9 @@ class TestPureSplitFinite:
         def forbidden(*args, **kwargs):
             raise AssertionError("the pure-split sweep must decide summands by complement search")
 
-        for name in ("smith_normal_form", "integer_row_kernel", "_extension_exists"):
+        for name in ("smith_normal_form", "_extension_exists"):
             monkeypatch.setattr(finite, name, forbidden)
+        monkeypatch.setattr(snf, "integer_row_kernel", forbidden)
         assert is_pure_split_finite(Z([2, 2, 2, 2, 2, 4]))
         assert is_pure_split_finite(Z([8, 9]))
 
