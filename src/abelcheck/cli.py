@@ -44,7 +44,9 @@ from .snf import diagonal, smith_normal_form
 
 CROSSCHECK_HOM_CAP = 4096
 # crosscheck samples groups of order <= min(--bound, CROSSCHECK_MAX_ORDER)
+# with 1 to CROSSCHECK_MAX_RANK cyclic factors
 CROSSCHECK_MAX_ORDER = 64
+CROSSCHECK_MAX_RANK = 3
 
 
 def _envelope(command: str, raw_input: str, result: dict) -> dict:
@@ -266,9 +268,9 @@ def _parse_matrix(text: str) -> list[list[int]]:
 # crosscheck
 
 
-def _random_group(rng: random.Random, max_order: int, primes: list[int], max_rank: int = 3) -> FiniteAbelianGroup:
+def _random_group(rng: random.Random, max_order: int, primes: list[int]) -> FiniteAbelianGroup:
     while True:
-        rank = rng.randint(1, max_rank)
+        rank = rng.randint(1, CROSSCHECK_MAX_RANK)
         factors = [rng.choice(primes) ** rng.randint(1, 3) for _ in range(rank)]
         if prod(factors) <= max_order:
             return FiniteAbelianGroup(factors)

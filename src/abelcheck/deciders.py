@@ -88,25 +88,35 @@ def _generic_subject(g: CanonicalGroup) -> str:
     return "all primes outside {%s}" % ", ".join(str(p) for p in primes)
 
 
+def _per_prime_rows(g: CanonicalGroup, condition: str, holds, note,
+                    failure: str, generic_failure: str) -> list[EvidenceRow]:
+    """One row per exception prime, then one for the generic shape, which
+    stands for every other prime.  ``holds(shape)`` decides a row and
+    ``note(p, shape)`` details a passing one (p is None for the generic
+    shape).  A failing row names its prime: ``failure`` with p filled in,
+    or the smallest generic prime before ``generic_failure``."""
+    rows = []
+    for p, shape in g.exceptions:
+        passed = holds(shape)
+        rows.append(EvidenceRow(f"p={p}", condition, passed, note(p, shape) if passed else failure.format(p=p)))
+    passed = holds(g.generic)
+    if passed:
+        detail = note(None, g.generic)
+    else:
+        detail = f"fails at p={smallest_prime_not_in(g.exception_primes())}: {generic_failure}"
+    rows.append(EvidenceRow(_generic_subject(g), condition, passed, detail))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Poorness.
 
 
 def _socle_summand_rows(g: CanonicalGroup) -> list[EvidenceRow]:
-    condition = "order-p cyclic direct summand present"
-    rows = []
-    for p, shape in g.exceptions:
-        passed = shape.has_exponent_one_layer
-        detail = "" if passed else f"p-primary part at p={p} has no exponent-1 layer"
-        rows.append(EvidenceRow(f"p={p}", condition, passed, detail))
-    passed = g.generic.has_exponent_one_layer
-    if passed:
-        detail = "generic shape carries an exponent-1 layer"
-    else:
-        w = smallest_prime_not_in(g.exception_primes())
-        detail = f"fails at p={w}: generic shape has no exponent-1 layer"
-    rows.append(EvidenceRow(_generic_subject(g), condition, passed, detail))
-    return rows
+    return _per_prime_rows(
+        g, "order-p cyclic direct summand present", lambda shape: shape.has_exponent_one_layer,
+        lambda p, shape: "" if p else "generic shape carries an exponent-1 layer",
+        "p-primary part at p={p} has no exponent-1 layer", "generic shape has no exponent-1 layer")
 
 
 def is_poor(g: CanonicalGroup) -> DecisionReport:
@@ -127,21 +137,10 @@ def _rank_text(rank: Multiplicity) -> str:
 
 
 def _pure_split_rows(g: CanonicalGroup) -> list[EvidenceRow]:
-    cond_bounded = "reduced p-primary part is bounded"
-    rows = []
-    for p, shape in g.exceptions:
-        passed = shape.reduced_is_bounded
-        detail = "" if passed else f"unbounded cyclic tower at p={p}"
-        if passed and shape.prufer != 0:
-            detail = "quasicyclic part is divisible, hence harmless"
-        rows.append(EvidenceRow(f"p={p}", cond_bounded, passed, detail))
-    passed = g.generic.reduced_is_bounded
-    if passed:
-        detail = ""
-    else:
-        w = smallest_prime_not_in(g.exception_primes())
-        detail = f"fails at p={w}: generic shape contains an unbounded tower"
-    rows.append(EvidenceRow(_generic_subject(g), cond_bounded, passed, detail))
+    rows = _per_prime_rows(
+        g, "reduced p-primary part is bounded", lambda shape: shape.reduced_is_bounded,
+        lambda p, shape: "quasicyclic part is divisible, hence harmless" if p and shape.prufer != 0 else "",
+        "unbounded cyclic tower at p={p}", "generic shape contains an unbounded tower")
 
     reduced_tf = g.reduced_part().torsion_free_part()
     rank_finite = all(m is not OMEGA for _, m in reduced_tf.rationals)
@@ -220,24 +219,10 @@ def pi_poor_necessary(g: CanonicalGroup) -> DecisionReport:
     quasicyclic part counts; the stricter reduced-part reading is
     reported in the row detail without affecting the verdict.
     """
-    cond = "p-primary part is unbounded"
-    rows = []
-
-    def reduced_note(shape) -> str:
-        return "reduced part unbounded: %s" % ("yes" if shape.tower != 0 else "no")
-
-    for p, shape in g.exceptions:
-        passed = shape.is_unbounded
-        detail = reduced_note(shape) if passed else f"p-primary part at p={p} is bounded"
-        rows.append(EvidenceRow(f"p={p}", cond, passed, detail))
-    passed = g.generic.is_unbounded
-    if passed:
-        detail = reduced_note(g.generic)
-    else:
-        w = smallest_prime_not_in(g.exception_primes())
-        detail = f"fails at p={w}: generic p-primary shape is bounded"
-    rows.append(EvidenceRow(_generic_subject(g), cond, passed, detail))
-
+    rows = _per_prime_rows(
+        g, "p-primary part is unbounded", lambda shape: shape.is_unbounded,
+        lambda p, shape: "reduced part unbounded: %s" % ("yes" if shape.tower != 0 else "no"),
+        "p-primary part at p={p} is bounded", "generic p-primary shape is bounded")
     not_torsion = bool(g.rationals)
     rows.append(EvidenceRow("whole group", "group is not torsion", not_torsion,
                             "" if not_torsion else "every element has finite order"))

@@ -32,7 +32,9 @@ on generators is a well-defined hom when its images satisfy each chain
 relation; no kernel is computed, and again elements are only added up.
 
 Groups are direct sums of cyclic groups of prime-power order; elements
-are residue tuples with mixed-radix codes, subgroups bitmasks of codes.
+are residue tuples with mixed-radix codes, and a subgroup is the bitmask
+of its codes and nothing else.  Its generating set and presentation are
+read off its walk, and the last walk is the only one cached.
 """
 
 from __future__ import annotations
@@ -214,26 +216,24 @@ class FiniteAbelianGroup:
             keys.update(zip(missing, [-lcm(*[m // gcd(m, x // s % m) for m, s in digits]) for x in missing]))
         return keys
 
-    def primary_components(self) -> list[tuple[int, "FiniteAbelianGroup", list[int]]]:
-        """(prime, component group, coordinate positions) per prime."""
-        blocks: list[tuple[int, list[int]]] = []
-        for i, m in enumerate(self.factors):
-            p = min(factorize(m))
-            if blocks and blocks[-1][0] == p:
-                blocks[-1][1].append(i)
-            else:
-                blocks.append((p, [i]))
-        return [(p, FiniteAbelianGroup([self.factors[i] for i in pos]), pos) for p, pos in blocks]
+    def primary_components(self) -> list[tuple[int, "FiniteAbelianGroup"]]:
+        """(prime, component group) per prime, by increasing prime."""
+        blocks: dict[int, list[int]] = {}
+        for m in self.factors:
+            blocks.setdefault(min(factorize(m)), []).append(m)
+        return [(p, FiniteAbelianGroup(orders)) for p, orders in blocks.items()]
 
 
 class Subgroup:
     """Subgroup of a FiniteAbelianGroup, stored as its element bitmask
     ``_mask`` (bit c set for code c) and nothing else: order, membership,
-    equality and hashing read the mask, and ``codes`` and ``elements()``
-    decode it.  A mask takes |G|/8 bytes whatever the subgroup's size.
+    equality and hashing read the mask, ``codes`` and ``elements()``
+    decode it, and ``generating_set()`` reads the greedy walk over it
+    (see ``_chain_walk``).  A mask takes |G|/8 bytes whatever the
+    subgroup's size, and no generator list is kept beside it.
     """
 
-    __slots__ = ("group", "_mask", "_gens")
+    __slots__ = ("group", "_mask")
 
     def __init__(self, group: FiniteAbelianGroup, elements: Iterable[Element]):
         codes = frozenset(group.encode(group.validate_element(a)) for a in elements)
@@ -249,12 +249,12 @@ class Subgroup:
                 if any(add(x, y) not in codes for y in codes):
                     raise NotASubgroup("element set is not closed under addition")
                 _adjoin(group, span, members, sizes, x)
-        self.group, self._mask, self._gens = group, _mask_of(codes), None
+        self.group, self._mask = group, _mask_of(codes)
 
     @classmethod
     def _from_mask(cls, group: FiniteAbelianGroup, mask: int) -> "Subgroup":
         obj = object.__new__(cls)
-        obj.group, obj._mask, obj._gens = group, mask, None
+        obj.group, obj._mask = group, mask
         return obj
 
     @classmethod
@@ -302,9 +302,7 @@ class Subgroup:
         """Deterministic greedy generators: the elements by decreasing
         order, then increasing code, each kept when it is not in the span
         of those kept before it (see ``_chain_walk``)."""
-        if self._gens is None:
-            self._gens = list(map(self.group.decode, _chain_walk(self)[0]))
-        return list(self._gens)
+        return list(map(self.group.decode, _chain_walk(self)[0]))
 
 
 def _mask_of(codes: Collection[int]) -> int:
@@ -377,7 +375,9 @@ def _adjoin(group: FiniteAbelianGroup, span: list[int], members: set[int],
     return row[::-1]
 
 
-@lru_cache(maxsize=1)  # generating_set() and the presentation of one subgroup share a walk
+# The only cache of a walk, and it holds one: every caller reads one
+# subgroup's generating set and presentation before the next subgroup's.
+@lru_cache(maxsize=1)
 def _chain_walk(h: Subgroup) -> tuple[list[int], list[list[int]]]:
     """The codes of h's greedy generators x_1, ..., x_t and their chain
     relations (see ``_adjoin``), as the rows of a t x t lower triangular
@@ -421,42 +421,41 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[int]:
     each such triple gives H = union over k of (H' + k*c) x {k*p^j}.
     So each subgroup H' of G' is extended once per coset c + H', c its
     first code, and per p^j with p^(e-j) at least the order of c + H'.
-    The row of c over G' is built once and only for such c.  The cosets
-    are translated as code lists, so each level keeps its subgroups'
-    codes for the next factor to read; the last factor builds masks only.
+    The row of c over G' is built once and only for such c.  Only masks
+    are kept: the cosets of H' are translated from its codes, read off
+    its mask when the next factor extends it.
     """
-    found, members_of = [1], [[0]]  # the trivial group's one subgroup: bit 0, code 0
+    found = [1]  # the trivial group's one subgroup: bit 0, code 0
     for i, q in enumerate(part.factors):
         prefix = FiniteAbelianGroup(part.factors[:i])
         n = prefix.order
         full = (1 << n) - 1
         rows: dict[int, list[int]] = {}
-        grown, grown_codes = [], []
-        for sub_mask, members in zip(found, members_of):
+        grown = []
+        for sub_mask in found:
+            members = _set_bits(sub_mask)
             reached = 0  # the cosets of H' handled so far
             while reached != full:
                 c = ((reached + 1) & ~reached).bit_length() - 1  # first code not reached
                 if c and c not in rows:
                     rows[c] = prefix._add_row(c)
                 row = rows.get(c)
-                cosets = [(members, sub_mask)]  # H' + k*c, k below the order of c + H'
+                cosets = [sub_mask]  # the masks of H' + k*c, k below the order of c + H'
                 coset, x = members, c
                 while not sub_mask >> x & 1:
                     coset = [row[y] for y in coset]
-                    cosets.append((coset, _mask_of(coset)))
+                    cosets.append(_mask_of(coset))
                     x = row[x]
-                reached |= cosets[1][1] if c else sub_mask
+                reached |= cosets[1] if c else sub_mask
                 period = len(cosets)
                 step = 1  # p^j
                 while step * period <= q:
                     stride, mask = n * step, 0
                     for k in range(q // step):
-                        mask |= cosets[k % period][1] << k * stride
+                        mask |= cosets[k % period] << k * stride
                     grown.append(mask)
-                    if i < part.rank - 1:  # a later factor reads the codes
-                        grown_codes.append([y + k * stride for k in range(q // step) for y in cosets[k % period][0]])
                     step *= p
-        found, members_of = grown, grown_codes
+        found = grown
     found.sort(key=lambda mask: (mask.bit_count(), mask))
     return found
 
@@ -485,12 +484,12 @@ def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list
     # element's code is the sum of its component codes, each times the
     # order of all earlier components: a mask is the earlier components'
     # mask shifted by each such offset, one per set bit of the next's.
-    per_comp = [_pgroup_subgroups(part, p) for p, part, _ in comps]
+    per_comp = [_pgroup_subgroups(part, p) for p, part in comps]
     later = [[_set_bits(mask) for mask in masks] for masks in per_comp[1:]]
     out: list[Subgroup] = []
     for mask, *members in product(per_comp[0], *later):
         base = comps[0][1].order
-        for (_, part, _), codes in zip(comps[1:], members):
+        for (_, part), codes in zip(comps[1:], members):
             mask = sum([mask << base * e for e in codes])
             base *= part.order
         out.append(Subgroup._from_mask(g, mask))

@@ -73,18 +73,6 @@ def check_multiplicity(m: Multiplicity) -> Multiplicity:
     raise ValueError(f"multiplicity must be a positive integer or OMEGA, got {m!r}")
 
 
-def add_mult(a: Multiplicity, b: Multiplicity) -> Multiplicity:
-    if a is OMEGA or b is OMEGA:
-        return OMEGA
-    return a + b
-
-
-def mul_mult(a: Multiplicity, b: Multiplicity) -> Multiplicity:
-    if a is OMEGA or b is OMEGA:
-        return OMEGA
-    return a * b
-
-
 def mult_to_json(m: Multiplicity):
     return "omega" if m is OMEGA else m
 
@@ -358,7 +346,7 @@ def _part_group(part: DescriptorPart, mult: Multiplicity) -> CanonicalGroup:
         return CanonicalGroup(exceptions=((part.p, LocalShape(prufer=mult)),))
     if isinstance(part, TowerAtom):
         return CanonicalGroup(exceptions=((part.p, LocalShape(tower=mult)),))
-    mult = mul_mult(part.multiplicity, mult)
+    mult = part.multiplicity * mult
     template = part.template
     if isinstance(template, FixedExponent):
         generic = LocalShape(((template.exponent, mult),))
@@ -403,11 +391,9 @@ def _sum_shapes(shapes: Iterable[LocalShape]) -> LocalShape:
     tower: Multiplicity = 0
     for shape in shapes:
         for n, m in shape.cyclic:
-            cyclic[n] = add_mult(cyclic.get(n, 0), m)
-        if shape.prufer:
-            prufer = add_mult(prufer, shape.prufer)
-        if shape.tower:
-            tower = add_mult(tower, shape.tower)
+            cyclic[n] = cyclic.get(n, 0) + m
+        prufer += shape.prufer
+        tower += shape.tower
     # Sums of valid shapes are valid: build the shape directly, with the
     # layers an OMEGA tower absorbs dropped as ``LocalShape.make`` would.
     return LocalShape(() if tower is OMEGA else tuple(sorted(cyclic.items())), prufer, tower)
@@ -419,7 +405,7 @@ def direct_sum(*groups: CanonicalGroup) -> CanonicalGroup:
     rationals: dict[Characteristic, Multiplicity] = {}
     for g in groups:
         for c, m in g.rationals:
-            rationals[c] = add_mult(rationals.get(c, 0), m)
+            rationals[c] = rationals.get(c, 0) + m
     exceptions = [dict(g.exceptions) for g in groups]
     special = set().union(*exceptions)
     return CanonicalGroup._build(
@@ -434,10 +420,7 @@ def direct_sum(*groups: CanonicalGroup) -> CanonicalGroup:
 
 
 def torsion_free_rank(g: CanonicalGroup) -> Multiplicity:
-    rank: Multiplicity = 0
-    for _, m in g.rationals:
-        rank = add_mult(rank, m)
-    return rank
+    return sum(m for _, m in g.rationals)
 
 
 @dataclass(frozen=True)
@@ -475,7 +458,7 @@ def structural_predicates(g: CanonicalGroup) -> StructuralSummary:
 
 
 __all__ = [
-    "OMEGA", "Multiplicity", "check_multiplicity", "add_mult", "mul_mult", "mult_to_json",
+    "OMEGA", "Multiplicity", "check_multiplicity", "mult_to_json",
     "CyclicAtom", "PruferAtom", "RationalAtom", "TowerAtom",
     "FixedExponent", "PruferAll", "UnboundedTower", "PrimeFamily",
     "GroupDescriptor", "LocalShape", "TRIVIAL_SHAPE",

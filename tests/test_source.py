@@ -1,9 +1,11 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "abelcheck"
+README = SOURCE.parents[1] / "README.md"
 
 
 def test_no_assert_statements():
@@ -57,3 +59,14 @@ def test_no_unused_imports():
                 if name not in used:
                     found.append(f"{path.relative_to(SOURCE.parents[1])}:{node.lineno} {name}")
     assert not found, "unused imports in the library: " + ", ".join(found)
+
+
+def test_readme_python_blocks_run():
+    # The quick tour's examples run as written, each in a fresh namespace;
+    # the code keeps its README line numbers in tracebacks.
+    text = README.read_text()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.S | re.M))
+    assert blocks, f"no python blocks in {README}"
+    for block in blocks:
+        code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
+        exec(compile(code, str(README), "exec"), {})
