@@ -8,7 +8,6 @@ from .characteristics import (
     CHAR_Z,
     INF,
     Characteristic,
-    equivalent,
     is_homogeneous,
     localization_char,
 )

@@ -27,10 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class _InfiniteHeight:
-    """The height of an element divisible by every power of a prime.
-
-    A singleton, strictly above every integer height.
-    """
+    """The height of an element divisible by every power of a prime (a singleton)."""
 
     _instance = None
     __slots__ = ()
@@ -42,18 +39,6 @@ class _InfiniteHeight:
 
     def __repr__(self) -> str:
         return "inf"
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-    def __gt__(self, other) -> bool:
-        return other is not self
-
-    def __ge__(self, other) -> bool:
-        return True
 
 
 INF = _InfiniteHeight()
@@ -149,29 +134,6 @@ class Characteristic:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def equivalent(a: Characteristic, b: Characteristic) -> bool:
-    """Whether a and b define the same type.
-
-    They must agree at all but finitely many primes with both heights
-    finite at every disagreement.  With different defaults the
-    sequences disagree at cofinitely many primes, so this reduces to a
-    scan of the union of finite exception sets.
-
-    >>> equivalent(CHAR_Z, Characteristic(0, {2: 3}))
-    True
-    >>> equivalent(CHAR_Z, CHAR_Q)
-    False
-    """
-    if (a.default is INF) != (b.default is INF):
-        return False
-    support = {p for p, _ in a.exceptions} | {p for p, _ in b.exceptions}
-    for p in support:
-        ha, hb = a.height_at(p), b.height_at(p)
-        if ha != hb and (ha is INF or hb is INF):
-            return False
-    return True
 
 
 # Named characteristics: the integers, the full rationals, and the

@@ -220,7 +220,7 @@ def pi_poor_necessary(g: CanonicalGroup) -> DecisionReport:
     reported in the row detail without affecting the verdict.
     """
     rows = _per_prime_rows(
-        g, "p-primary part is unbounded", lambda shape: shape.is_unbounded,
+        g, "p-primary part is unbounded", lambda shape: not shape.is_bounded,
         lambda p, shape: "reduced part unbounded: %s" % ("yes" if shape.tower != 0 else "no"),
         "p-primary part at p={p} is bounded", "generic p-primary shape is bounded")
     not_torsion = bool(g.rationals)

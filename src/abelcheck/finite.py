@@ -26,10 +26,11 @@ Adjoining each element x coset by coset reaches the first multiple n*x
 in the span of the elements before it, and where it lands there gives
 x's chain relation.  These relations generate every relation among the
 elements, so one Smith reduction of the greedy generators' t x t
-triangular matrix gives a subgroup's invariant presentation (its
-invariant factors and a change of basis from its generators), and a map
-on generators is a well-defined hom when its images satisfy each chain
-relation; no kernel is computed, and again elements are only added up.
+triangular matrix gives a subgroup's invariant presentation (its slots:
+each invariant factor above 1 with its column of the change of basis
+from the generators), and a map on generators is a well-defined hom when
+its images satisfy each chain relation; no kernel is computed, and again
+elements are only added up.
 
 Groups are direct sums of cyclic groups of prime-power order; elements
 are residue tuples with mixed-radix codes, and a subgroup is the bitmask
@@ -524,8 +525,8 @@ def is_pure_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> bool:
     return True
 
 
-def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[int], list[list[int]]]:
-    """Generators, invariant-factor orders, and the change-of-basis V.
+def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[tuple[int, list[int]]]]:
+    """Generators and the nonunit slots of an invariant presentation.
 
     Writes h with generators g_u and diagonal relations: there are
     abstract generators g'_i of order s_i with g_u = sum_i V[u][i] g'_i.
@@ -533,17 +534,18 @@ def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[int], list
     U*R*V = S of their chain relations R, read off the same walk (see
     ``_chain_walk``), gives the rest: the rows of R span the lattice of
     relations among the g_u (see ``_adjoin``), and a -> a*V maps it onto
-    the span of the s_i*e_i.  No kernel is computed.
+    the span of the s_i*e_i.  No kernel is computed, and only the slots
+    (s_i, column i of V) with s_i > 1 are returned.
     """
     gens = h.generating_set()
     if not gens:
-        return [], [], []
+        return [], []
     _, s, v = smith_normal_form(_chain_walk(h)[1])
     orders = [s[i][i] for i in range(len(gens))]
     if not all(d > 0 for d in orders):
         raise InternalConsistencyError(f"finite subgroup {h!r} has relation invariants {orders}, "
                                        "not all positive")
-    return gens, orders, v
+    return gens, [(d, [row[i] for row in v]) for i, d in enumerate(orders) if d > 1]
 
 
 def abstract_presentation(h: Subgroup) -> tuple[FiniteAbelianGroup, list[Element]]:
@@ -552,16 +554,11 @@ def abstract_presentation(h: Subgroup) -> tuple[FiniteAbelianGroup, list[Element
     Returns (M, images) where M is isomorphic to h and images[u] is the
     element of M corresponding to h.generating_set()[u].
     """
-    gens, orders, v = _invariant_presentation(h)
-    split: list[tuple[int, int, int]] = []  # (prime, exponent, invariant index)
-    for idx, s in enumerate(orders):
-        if s == 1:
-            continue
-        for p, e in sorted(factorize(s).items()):
-            split.append((p, e, idx))
-    split.sort()
+    gens, slots = _invariant_presentation(h)
+    split = sorted(((p, e, column) for s, column in slots for p, e in factorize(s).items()),
+                   key=lambda part: part[:2])  # stable: equal prime powers keep slot order
     abstract = FiniteAbelianGroup([p**e for p, e, _ in split])
-    images = [tuple(v[u][idx] % (p**e) for p, e, idx in split) for u in range(len(gens))]
+    images = [tuple(column[u] % (p**e) for p, e, column in split) for u in range(len(gens))]
     return abstract, images
 
 
@@ -745,55 +742,43 @@ def _annihilator_elements(m: FiniteAbelianGroup, s: int) -> list[Element]:
 # Relative injectivity.
 
 
-def _hom_choices(k: Subgroup, m: FiniteAbelianGroup):
-    """(generators, choice lists, coefficient rows) for the homs k -> m.
-
-    Uses the diagonalized presentation of k: choosing an annihilator
-    element of m from each list (one per invariant factor above 1) gives
-    each hom exactly once, and generator u maps to the combination of
-    the picks with coefficient row u.  Only ``sample_homomorphism`` and
-    the tests' full enumeration of Hom(k, m) use it.
-    """
-    gens, orders, v = _invariant_presentation(k)
-    keep = [i for i, s in enumerate(orders) if s > 1]
-    choice_lists = [_annihilator_elements(m, orders[i]) for i in keep]
-    coeff_rows = [[v[u][i] for i in keep] for u in range(len(gens))]
-    return gens, choice_lists, coeff_rows
-
-
 def _all_homs_on_generators(k: Subgroup, m: FiniteAbelianGroup):
     """Yield a generating set of Hom(k, m), each hom as the images of
     k.generating_set() in order: at most rank(k)*rank(m) homs.
 
-    With k presented as cyclic slots of order s_i, Hom(k, m) is the sum
-    of the m[s_i], each generated by the steps k_j/gcd(k_j, s_i) of m's
-    factors k_j; one hom per slot i and coordinate j with a step below
-    k_j sends slot i to it and every other slot to 0.  Every check in
+    With k presented as cyclic slots of order s_i (see
+    ``_invariant_presentation``), Hom(k, m) is the sum of the m[s_i],
+    each generated by the steps k_j/gcd(k_j, s_i) of m's factors k_j;
+    one hom per slot i and coordinate j with a step below k_j sends slot
+    i to it (generator u to the step times column entry u) and every
+    other slot to 0.  Every check in
     ``_extension_exists`` is a linear form in the images mod a divisor
     of the coordinate's modulus, so the homs that extend form a subgroup
     (the image of restriction Hom(n, m) -> Hom(k, m)) and all homs
     extend iff these do.  No pure, summand or injectivity theorem is
     assumed.
     """
-    _, orders, v = _invariant_presentation(k)
+    _, slots = _invariant_presentation(k)
     r = m.rank
-    for i, s in enumerate(orders):
+    for s, column in slots:
         for j, kj in enumerate(m.factors):
             g = gcd(kj, s)
             if g > 1:
                 step = kj // g
-                yield [(0,) * j + (row[i] * step % kj,) + (0,) * (r - j - 1) for row in v]
+                yield [(0,) * j + (c * step % kj,) + (0,) * (r - j - 1) for c in column]
 
 
 def sample_homomorphism(h: Subgroup, m: FiniteAbelianGroup, rng) -> dict[Element, Element]:
     """Uniformly random homomorphism h -> m, as a generator-image map.
 
-    Uses the diagonalized presentation, so every returned map is
-    well-defined; the draw is deterministic for a seeded rng.
+    Each slot of order s_i of the invariant presentation goes to a
+    uniform pick from m[s_i], and generator u to the picks combined with
+    the slots' column entries u, so every map is a well-defined hom; the
+    draw is deterministic for a seeded rng.
     """
-    gens, choice_lists, coeff_rows = _hom_choices(h, m)
-    picks = [rng.choice(choices) for choices in choice_lists]
-    return {gen: _combo(m, coeffs, picks) for gen, coeffs in zip(gens, coeff_rows)}
+    gens, slots = _invariant_presentation(h)
+    picks = [rng.choice(_annihilator_elements(m, s)) for s, _ in slots]
+    return {gen: _combo(m, [column[u] for _, column in slots], picks) for u, gen in enumerate(gens)}
 
 
 def is_relatively_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,

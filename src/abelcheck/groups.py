@@ -237,11 +237,6 @@ class LocalShape:
         return self.tower == 0
 
     @property
-    def is_unbounded(self) -> bool:
-        """Elements of unbounded order exist (tower or quasicyclic part)."""
-        return self.tower != 0 or self.prufer != 0
-
-    @property
     def has_exponent_one_layer(self) -> bool:
         """An order-p cyclic direct summand is present."""
         if self.tower != 0:

@@ -22,7 +22,6 @@ from abelcheck.finite import (
     _all_homs_on_generators,
     _combo,
     _extension_exists,
-    _hom_choices,
     _validated_instance,
     abstract_presentation,
     element_height,
@@ -198,9 +197,10 @@ def p_groups(p, max_order):
 def _every_hom_on_generators(k, m):
     """Every hom k -> m once, as the images of k.generating_set() in order:
     the full product of annihilator choices over k's invariant slots."""
-    _, choice_lists, coeff_rows = _hom_choices(k, m)
+    gens, slots = finite._invariant_presentation(k)
+    choice_lists = [finite._annihilator_elements(m, s) for s, _ in slots]
     for picks in product(*choice_lists):
-        yield [_combo(m, coeffs, picks) for coeffs in coeff_rows]
+        yield [_combo(m, [column[u] for _, column in slots], picks) for u in range(len(gens))]
 
 
 def rel_inj_by_every_hom(m, n, pure_only=False):
@@ -865,9 +865,10 @@ class TestChainPresentation:
             for u in range(t):
                 det *= rows[u][u]
             assert abs(det) == h.order
-            _, orders, _ = finite._invariant_presentation(h)
+            _, slots = finite._invariant_presentation(h)
             reference = smith_normal_form(_relation_rows(g, gens))[1] if gens else []
-            assert orders == [reference[i][i] for i in range(t)]
+            assert [s for s, _ in slots] == [reference[i][i] for i in range(t) if reference[i][i] != 1]
+            assert all(len(column) == t for _, column in slots)
             abstract, images = abstract_presentation(h)
             assert abstract.order == h.order
             assert Subgroup.generated_by(abstract, images).order == abstract.order
@@ -908,6 +909,24 @@ class TestAbstractPresentation:
                 assert g.element_order(ge) == abstract.element_order(im)
             span = Subgroup.generated_by(abstract, images)
             assert span.order == abstract.order
+
+    def test_presentations_and_generating_homs_are_golden(self):
+        # What the invariant slots feed: each subgroup's abstract group and
+        # generator images (the summand check) and the generating homs into
+        # a few targets (the relative-injectivity checks).  The digest was
+        # recorded while the presentation still carried its unit slots.
+        targets = [Z([2]), Z([4]), Z([2, 3]), Z([2, 4]), Z([9])]
+        digest = hashlib.sha256()
+        seen = 0
+        for g in isomorphism_classes_upto(16):
+            for k in enumerate_subgroups(g):
+                abstract, images = abstract_presentation(k)
+                digest.update(repr((k.generating_set(), abstract.factors, images)).encode())
+                for m in targets:
+                    digest.update(repr(list(_all_homs_on_generators(k, m))).encode())
+                seen += 1
+        assert seen == 215
+        assert digest.hexdigest() == "d35183388961ec646567593e4965b492502bd9212d2fe3db92d498663c89d81c"
 
 
 class TestRelativeInjectivity:

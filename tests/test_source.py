@@ -1,8 +1,12 @@
 """Checks on the library's source text."""
 
 import ast
+import io
 import re
+import shlex
 from pathlib import Path
+
+from abelcheck import cli
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "abelcheck"
 README = SOURCE.parents[1] / "README.md"
@@ -70,3 +74,40 @@ def test_readme_python_blocks_run():
     for block in blocks:
         code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
         exec(compile(code, str(README), "exec"), {})
+
+
+# What the README's comments say a command prints, as a check on stdout.
+README_STATED_OUTPUTS = {
+    "false": lambda out: out.splitlines()[0].endswith("= false"),
+    "true": lambda out: out.splitlines()[0].endswith("= true"),
+    "diagonal: [2, 4]": lambda out: out.splitlines()[0] == "diagonal: [2, 4]",
+    "all 8 subgroups": lambda out: sum(line.startswith("index=") for line in out.splitlines()) == 8,
+}
+
+
+def test_readme_cli_lines_run(capsys, monkeypatch):
+    # Every ``abelcheck`` line of the sh blocks runs in-process and exits 0;
+    # a line piped from ``echo`` reads the echoed text on stdin, and the
+    # outputs that the comments state hold.
+    text = README.read_text()
+    lines = [line for block in re.findall(r"^```sh\n(.*?)^```$", text, re.S | re.M)
+             for line in block.splitlines() if line.startswith(("abelcheck ", "echo "))]
+    assert len(lines) >= 9, lines
+    stated = set()
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        feed = ""
+        if "|" in words:
+            echo, words = words[:words.index("|")], words[words.index("|") + 1:]
+            assert echo[0] == "echo", line
+            feed = " ".join(echo[1:]) + "\n"
+        assert words[0] == "abelcheck", line
+        monkeypatch.setattr("sys.stdin", io.StringIO(feed))
+        code = cli.main(words[1:])
+        out = capsys.readouterr().out
+        assert code == 0, line
+        comment = line.partition(" # ")[2].strip()
+        if comment in README_STATED_OUTPUTS:
+            assert README_STATED_OUTPUTS[comment](out), (line, out)
+            stated.add(comment)
+    assert stated == set(README_STATED_OUTPUTS)
