@@ -781,24 +781,43 @@ def sample_homomorphism(h: Subgroup, m: FiniteAbelianGroup, rng) -> dict[Element
     return {gen: _combo(m, [column[u] for _, column in slots], picks) for u, gen in enumerate(gens)}
 
 
+def _every_hom_extends(m: FiniteAbelianGroup, n: FiniteAbelianGroup, bound: int | None, pure: bool) -> bool:
+    """Both oracles' loop: whether every hom from every subgroup k of n
+    (every pure one when ``pure``) into m extends to n.
+
+    A k with gcd(|k|, exp m) = 1 is skipped before its generating set,
+    presentation or extension check is built, since its only hom into m
+    is 0 (see ``is_relatively_injective``).  For every other k only a
+    generating set of Hom(k, m) is checked, which suffices because the
+    homs that extend form a subgroup (see ``_all_homs_on_generators``).
+    No pure, summand or injectivity theorem is assumed.
+    """
+    e = m.exponent
+    for k in enumerate_subgroups(n, bound):
+        if gcd(k.order, e) == 1 or pure and not is_pure_subgroup(k, n):
+            continue
+        if not _extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m):
+            return False
+    return True
+
+
 def is_relatively_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
                             bound: int | None = None) -> bool:
     """Whether every hom from every subgroup of n into m extends to n.
 
-    Only a generating set of each Hom(k, m) is checked, which suffices
-    because the homs that extend form a subgroup (see
-    ``_all_homs_on_generators``); no pure, summand or injectivity
-    theorem is assumed."""
-    return all(_extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m)
-               for k in enumerate_subgroups(n, bound))
+    A subgroup k with gcd(|k|, exp m) = 1 is skipped: by Lagrange the
+    image of a hom k -> m has order dividing both, so the only hom is 0,
+    which extends.  For every other k only a generating set of Hom(k, m)
+    is checked (see ``_every_hom_extends``)."""
+    return _every_hom_extends(m, n, bound, pure=False)
 
 
 def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
                                  bound: int | None = None) -> bool:
     """The same check over the pure subgroups of n only (purity is tested
-    by its definition)."""
-    return all(_extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m)
-               for k in enumerate_subgroups(n, bound) if is_pure_subgroup(k, n))
+    by its definition), with the same skip of every k with
+    gcd(|k|, exp m) = 1, whose only hom into m is 0 by Lagrange."""
+    return _every_hom_extends(m, n, bound, pure=True)
 
 
 def _masks_by_order(subgroups: Iterable[Subgroup]) -> dict[int, list[int]]:

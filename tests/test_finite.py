@@ -256,6 +256,27 @@ def rel_inj_closed_form(m, n):
                for q in part.factors)
 
 
+def rel_inj_by_counting(m, n, pure_only=False):
+    """Relative (pure-)injectivity by counting, a second route that never
+    runs on the oracle's path.  Restriction Hom(N, Z(q)) -> Hom(K, Z(q))
+    has kernel Hom(N/K, Z(q)), and |Hom(A, Z(q))| = |A[q]| = |A/qA| for
+    finite A, so every hom K -> Z(q) extends iff |K meet qN|*|K meet N[q]|
+    = |K|; Hom(K, M) is the sum over M's factors q.  The masks of qN and
+    N[q] are built here from the elements."""
+    elements = n.elements()
+    tables = []
+    for q in set(m.factors):
+        multiples = {n.encode(n.smul(q, x)) for x in elements}
+        killed = {n.encode(x) for x in elements if n.smul(q, x) == n.zero()}
+        tables.append((sum(1 << c for c in multiples), sum(1 << c for c in killed)))
+    for k in enumerate_subgroups(n):
+        if pure_only and not is_pure_subgroup(k, n):
+            continue
+        if any((k._mask & a).bit_count() * (k._mask & b).bit_count() != k.order for a, b in tables):
+            return False
+    return True
+
+
 # -- groups and parsing -------------------------------------------------------
 
 
@@ -970,6 +991,54 @@ class TestRelativeInjectivity:
             assert is_relatively_pure_injective(m, n) == pure_inj, (m, n)
             verdicts.add((inj, pure_inj))
         assert verdicts == {(True, True), (False, True)}
+
+    def test_matches_counting_route(self):
+        # The congruence oracles against the counting route on all ordered
+        # pairs of orders 2..16 and on two lattice-heavy pairs.
+        groups = [grp for n in range(2, 17) for grp in isomorphism_classes_of_order(n)]
+        pairs = [(m, n) for m in groups for n in groups]
+        pairs += [(Z([2, 4]), Z([2] * 6)), (Z([2, 4]), Z([2, 2, 2, 4]))]
+        negatives = []
+        for m, n in pairs:
+            for oracle, pure_only in ((is_relatively_injective, False), (is_relatively_pure_injective, True)):
+                verdict = rel_inj_by_counting(m, n, pure_only)
+                assert oracle(m, n) == verdict, (oracle.__name__, m, n)
+                if not verdict:
+                    negatives.append((m, n))
+        assert len(negatives) == 104 + 1
+        assert negatives[-1] == (Z([2, 4]), Z([2, 2, 2, 4]))
+
+    def test_coprime_subgroups_are_skipped(self, monkeypatch):
+        # Every subgroup of Z2^6 has 2-power order, coprime to
+        # exp(Z3) = 3: the only hom into Z3 is 0, so no subgroup reaches a
+        # presentation, a generating hom or an extension check.
+        calls = {"smith_normal_form": 0, "homs": 0, "_extension_exists": 0}
+
+        def counted(name):
+            original = getattr(finite, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        generating = finite._all_homs_on_generators
+
+        def counted_homs(k, m):
+            for hom in generating(k, m):
+                calls["homs"] += 1
+                yield hom
+
+        for name in ("smith_normal_form", "_extension_exists"):
+            monkeypatch.setattr(finite, name, counted(name))
+        monkeypatch.setattr(finite, "_all_homs_on_generators", counted_homs)
+        m, n = Z([3]), Z([2] * 6)
+        assert is_relatively_injective(m, n)
+        assert is_relatively_pure_injective(m, n)
+        assert calls == {"smith_normal_form": 0, "homs": 0, "_extension_exists": 0}
+        # The same counters see a group that is not skipped.
+        assert not is_relatively_injective(Z([2]), Z([4]))
+        assert calls["smith_normal_form"] > 0 and calls["homs"] > 0 and calls["_extension_exists"] > 0
 
     def test_generating_homs_span_every_hom(self):
         # The homs checked generate Hom(K, M) inside M^t (t generators of K).
