@@ -3,6 +3,10 @@
 Three commands: ``analyze`` runs the symbolic deciders on a group
 expression, ``oracle`` runs the finite-group oracle, ``crosscheck``
 replays the oracle's internal consistency suites on random instances.
+One crosscheck call builds each drawn group once, shared by all three
+suites and by no other call, decides the pure-split suite once per
+distinct group and validates each sampled hom once (see
+``finite._validated_instance``).
 
 Exit codes, all decided in ``main``: 0 ok; 1 stdout's reader closed the
 pipe early (``| head``), with no traceback; 2 parse error (``ParseError``
@@ -268,12 +272,24 @@ def _parse_matrix(text: str) -> list[list[int]]:
 # crosscheck
 
 
-def _random_group(rng: random.Random, max_order: int, primes: list[int]) -> FiniteAbelianGroup:
+def _group_of(groups: dict[tuple[int, ...], FiniteAbelianGroup], factors: list[int]) -> FiniteAbelianGroup:
+    """The call's one group for a list of prime powers: ``groups`` keys
+    each group by its drawn factors, sorted, before anything is built, so
+    every group is built, and its caches filled, once per call."""
+    key = tuple(sorted(factors))
+    group = groups.get(key)
+    if group is None:
+        group = groups[key] = FiniteAbelianGroup(key)
+    return group
+
+
+def _random_group(rng: random.Random, max_order: int, primes: list[int],
+                  groups: dict[tuple[int, ...], FiniteAbelianGroup]) -> FiniteAbelianGroup:
     while True:
         rank = rng.randint(1, CROSSCHECK_MAX_RANK)
         factors = [rng.choice(primes) ** rng.randint(1, 3) for _ in range(rank)]
         if prod(factors) <= max_order:
-            return FiniteAbelianGroup(factors)
+            return _group_of(groups, factors)
 
 
 def _random_subgroup(rng: random.Random, group: FiniteAbelianGroup) -> Subgroup:
@@ -326,6 +342,7 @@ def cmd_crosscheck(args) -> int:
     bound = args.bound
     max_order = min(bound, CROSSCHECK_MAX_ORDER)
     primes = [p for p in (2, 3, 5) if p <= args.max_prime]
+    groups: dict[tuple[int, ...], FiniteAbelianGroup] = {}  # shared by the three suites
     checks = []
     failures = []
 
@@ -334,16 +351,20 @@ def cmd_crosscheck(args) -> int:
                        "counterexamples": found[:3]})
         failures.extend(found)
 
-    # 1. every sampled finite group is pure-split
+    # 1. every sampled finite group is pure-split: decided once per
+    # distinct group, and every draw of a failing group is reported
     found = []
+    failing: dict[FiniteAbelianGroup, dict | None] = {}
     for _ in range(args.count):
-        group = _random_group(rng, max_order, primes)
-        witness = finite.first_pure_non_summand(group, bound=bound)
-        if witness is not None:
-            found.append({
+        group = _random_group(rng, max_order, primes, groups)
+        if group not in failing:
+            witness = finite.first_pure_non_summand(group, bound=bound)
+            failing[group] = None if witness is None else {
                 "group": str(group),
                 "pure_non_summand_generators": [list(g) for g in witness.generating_set()],
-            })
+            }
+        if failing[group] is not None:
+            found.append(failing[group])
     record("pure_split_finite", args.count, found)
 
     # 2. relative injectivity between cyclic p-power groups follows m >= n
@@ -352,7 +373,7 @@ def cmd_crosscheck(args) -> int:
     found = []
     for p, e_m, e_n in table:
         got = finite.is_relatively_injective(
-            FiniteAbelianGroup([p**e_m]), FiniteAbelianGroup([p**e_n]), bound=bound)
+            _group_of(groups, [p**e_m]), _group_of(groups, [p**e_n]), bound=bound)
         if got != (e_m >= e_n):
             found.append({"p": p, "m_exponent": e_m, "n_exponent": e_n, "verdict": got})
     record("relative_injectivity_table", len(table), found)
@@ -361,8 +382,8 @@ def cmd_crosscheck(args) -> int:
     found = []
     drawn = 0
     while drawn < args.count:
-        g = _random_group(rng, max_order, primes)
-        m = _random_group(rng, max_order, primes)
+        g = _random_group(rng, max_order, primes, groups)
+        m = _random_group(rng, max_order, primes, groups)
         if hom_space_size(g, m) > CROSSCHECK_HOM_CAP:
             continue
         h = _random_subgroup(rng, g)

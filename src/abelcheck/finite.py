@@ -78,10 +78,22 @@ class FiniteAbelianGroup:
             for p, e in factorize(m).items():
                 refined.append((p, e))
         refined.sort()
-        self.factors = tuple(p**e for p, e in refined)
+        self._set_factors(tuple(p**e for p, e in refined))
+
+    @classmethod
+    def _from_factors(cls, factors: tuple[int, ...]) -> "FiniteAbelianGroup":
+        """The group of prime-power factors that are already refined and
+        sorted by (prime, exponent), as the library's own groups leave
+        them: nothing is factorised or checked again."""
+        obj = object.__new__(cls)
+        obj._set_factors(factors)
+        return obj
+
+    def _set_factors(self, factors: tuple[int, ...]) -> None:
+        self.factors = factors
         strides = []
         acc = 1
-        for m in self.factors:
+        for m in factors:
             strides.append(acc)
             acc *= m
         self._strides = tuple(strides)
@@ -222,7 +234,7 @@ class FiniteAbelianGroup:
         blocks: dict[int, list[int]] = {}
         for m in self.factors:
             blocks.setdefault(min(factorize(m)), []).append(m)
-        return [(p, FiniteAbelianGroup(orders)) for p, orders in blocks.items()]
+        return [(p, FiniteAbelianGroup._from_factors(tuple(orders))) for p, orders in blocks.items()]
 
 
 class Subgroup:
@@ -403,7 +415,7 @@ def _chain_walk(h: Subgroup) -> tuple[list[int], list[list[int]]]:
 
 
 def _require_subgroup(h: Subgroup, g: FiniteAbelianGroup) -> None:
-    if not isinstance(h, Subgroup) or h.group != g:
+    if not isinstance(h, Subgroup) or h.group is not g and h.group != g:
         raise NotASubgroup(f"{h!r} is not a subgroup of {g}")
 
 
@@ -428,7 +440,7 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[int]:
     """
     found = [1]  # the trivial group's one subgroup: bit 0, code 0
     for i, q in enumerate(part.factors):
-        prefix = FiniteAbelianGroup(part.factors[:i])
+        prefix = FiniteAbelianGroup._from_factors(part.factors[:i])
         n = prefix.order
         full = (1 << n) - 1
         rows: dict[int, list[int]] = {}
@@ -655,9 +667,22 @@ def _validated_instance(f: Mapping[Element, Element], h: Subgroup,
     ``_adjoin``); f is well defined iff every key's chain relation kills
     the images: n*f(x) equals the sum of c_v times the images of the keys
     that grew the span, with n = 1 for a key already in it.
+
+    The walk's result for the last instance is kept in a one-entry cache,
+    ``_validated_items`` (``lru_cache(maxsize=1)``, as ``_chain_walk``
+    keeps the last walk), keyed by the sorted items, h, g and m: so
+    ``hom_extends_bruteforce`` reuses what ``hom_extends`` just validated
+    on the same instance.  A refusal raises and is not cached, so it
+    raises again on every call.
     """
     _require_subgroup(h, g)
-    items = sorted(f.items())
+    # images as tuples, so that the key hashes whatever sequence f maps to
+    return _validated_items(tuple(sorted((ge, tuple(im)) for ge, im in f.items())), h, g, m)
+
+
+@lru_cache(maxsize=1)
+def _validated_items(items: tuple[tuple[Element, Element], ...], h: Subgroup,
+                     g: FiniteAbelianGroup, m: FiniteAbelianGroup) -> tuple[list[Element], list[Element]]:
     gens = [ge for ge, _ in items]
     images = [im for _, im in items]
     for ge in gens:

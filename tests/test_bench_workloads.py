@@ -18,6 +18,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 11
 PASS_DIGESTS = {
+    "crosscheck_cli": "460b9780783b546df7902d7896f8460583203d370e6a564f4742ab90801bda5c",
     "rel_inj_grid": "0cd8028751653348260d19ca4d958554f311bd6ae58d89ec592028626f970d13",
     "pure_split_sweep": "50656b3aacc934dc056f934a021172637a43bd32836f8b30a261d6517def9fab",
 }

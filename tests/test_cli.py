@@ -432,6 +432,102 @@ class TestCrosscheck:
         table = {c["name"]: c for c in env["result"]["checks"]}["relative_injectivity_table"]
         assert table["instances"] == 9 * len(primes)
 
+    def test_draws_are_golden(self, capsys, monkeypatch):
+        # The JSON bytes alone do not show the draws: pin every drawn
+        # group's factors, subgroup's elements and hom's items with the
+        # output, recorded before crosscheck kept one group per drawn
+        # factor list.
+        digest = hashlib.sha256()
+
+        def recorded(fn, feed):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                digest.update(repr(feed(out)).encode())
+                return out
+            return wrapper
+        monkeypatch.setattr(cli, "_random_group", recorded(cli._random_group, lambda g: g.factors))
+        monkeypatch.setattr(cli, "_random_subgroup", recorded(cli._random_subgroup, lambda h: h.elements()))
+        monkeypatch.setattr(finite, "sample_homomorphism",
+                            recorded(finite.sample_homomorphism, lambda f: sorted(f.items())))
+        for seed in range(1, 9):
+            code, out, _ = run(capsys, "crosscheck", "--seed", str(seed), "--count", "30", "--json")
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "5d82ad66dc736e0aef742767d12a9bd165622af71e61c59369f38453232e8509"
+
+    def test_pure_split_is_decided_once_per_distinct_group(self, capsys, monkeypatch):
+        drawn, decided = [], []
+        real_draw, real_decide = cli._random_group, finite.first_pure_non_summand
+
+        def draw(*args, **kwargs):
+            drawn.append(real_draw(*args, **kwargs))
+            return drawn[-1]
+
+        def decide(group, *args, **kwargs):
+            decided.append(group)
+            return real_decide(group, *args, **kwargs)
+        monkeypatch.setattr(cli, "_random_group", draw)
+        monkeypatch.setattr(finite, "first_pure_non_summand", decide)
+        code, env, _ = run_json(capsys, "crosscheck", "--seed", "5", "--count", "50", "--json")
+        assert code == 0
+        suite = drawn[:50]  # suite 1 draws first
+        assert len(decided) == len(set(decided)) == len(set(suite)) < 50
+        checks = {c["name"]: c for c in env["result"]["checks"]}
+        assert checks["pure_split_finite"]["instances"] == 50
+
+    def test_every_failing_draw_is_reported(self, capsys, monkeypatch):
+        drawn = []
+        real = cli._random_group
+
+        def draw(*args, **kwargs):
+            drawn.append(real(*args, **kwargs))
+            return drawn[-1]
+        monkeypatch.setattr(cli, "_random_group", draw)
+        monkeypatch.setattr(finite, "_has_complement", lambda *a, **k: False)
+        code, env, _ = run_json(capsys, "crosscheck", "--seed", "1", "--count", "40", "--json")
+        assert code == 4
+        assert len(set(drawn[:40])) < 40  # some group is drawn twice
+        checks = {c["name"]: c for c in env["result"]["checks"]}
+        assert checks["pure_split_finite"]["failures"] == 40
+
+    def test_equal_factor_lists_share_one_group_per_call(self, capsys, monkeypatch):
+        # Every suite, suite 2's cyclic groups too, gets the call's one
+        # group per factor list, and no group outlives its call, so each
+        # call starts with cold caches.
+        calls = []
+        real_draw, real_decide = cli._random_group, finite.is_relatively_injective
+
+        def draw(*args, **kwargs):
+            calls[-1]["drawn"].append(real_draw(*args, **kwargs))
+            return calls[-1]["drawn"][-1]
+
+        def decide(m, n, *args, **kwargs):
+            calls[-1]["cyclic"] += [m, n]
+            return real_decide(m, n, *args, **kwargs)
+        monkeypatch.setattr(cli, "_random_group", draw)
+        monkeypatch.setattr(finite, "is_relatively_injective", decide)
+        for _ in range(2):
+            calls.append({"drawn": [], "cyclic": []})
+            assert run(capsys, "crosscheck", "--seed", "2", "--count", "30", "--json")[0] == 0
+        for call in calls:
+            one = {}
+            for g in call["drawn"] + call["cyclic"]:
+                assert one.setdefault(g.factors, g) is g
+            assert len(one) < len(call["drawn"])
+            assert any(g is h for g in call["cyclic"] for h in call["drawn"])
+        objects = [{id(g) for g in call["drawn"] + call["cyclic"]} for call in calls]
+        assert not objects[0] & objects[1]
+
+    def test_each_sampled_hom_is_validated_once(self, capsys):
+        # hom_extends_bruteforce reuses the validation that hom_extends
+        # has just made of the same instance.
+        for seed in (1, 2, 3):
+            finite._validated_items.cache_clear()
+            code, env, _ = run_json(capsys, "crosscheck", "--seed", str(seed), "--count", "100", "--json")
+            assert code == 0
+            hits, misses = finite._validated_items.cache_info()[:2]
+            assert (hits, misses) == (100, 100)
+
     def test_shrinker_lets_unexpected_errors_through(self, capsys, monkeypatch):
         # The shrinker skips only the deciders' refusals.  Here the decider
         # disagrees once, crashes on the next call (the shrinker's first

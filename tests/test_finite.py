@@ -286,6 +286,26 @@ class TestGroupBasics:
         assert Z([12]).factors == (4, 3)
         assert Z([]).order == 1
 
+    def test_groups_built_without_factorising_match_the_constructor(self, monkeypatch):
+        # The components and prefix groups that enumeration builds skip the
+        # constructor's factorisation; each must equal the constructor's
+        # group on the same factors in every observable way.
+        built = []
+        real = Z._from_factors.__func__
+
+        def recorded(cls, factors):
+            built.append(real(cls, factors))
+            return built[-1]
+        monkeypatch.setattr(Z, "_from_factors", classmethod(recorded))
+        for g in isomorphism_classes_upto(64):
+            built.append(Z._from_factors(g.factors))
+            enumerate_subgroups(g)
+        assert {len(g.factors) for g in built} == {0, 1, 2, 3, 4, 5, 6}
+        for g in built:
+            expected = Z(list(g.factors))
+            assert (g.factors, g.order, g._strides) == (expected.factors, expected.order, expected._strides)
+            assert g == expected and hash(g) == hash(expected) and str(g) == str(expected)
+
     def test_from_string(self):
         assert Z.from_string("Z4 x Z2") == Z([4, 2])
         assert Z.from_string("Z(2^2) x Z(2)") == Z([4, 2])
@@ -714,6 +734,31 @@ class TestHomExtension:
         h = Subgroup.whole(z4)
         with pytest.raises(ValueError):
             hom_extends({(2,): (0,)}, h, z4, z4)
+
+    @pytest.mark.parametrize("f, h_gens, error", [
+        ({(2,): (1,)}, [(2,)], IllDefinedHom),  # 2*(2,) = 0 but 2*1 != 0 in Z4
+        ({(2,): (0,)}, [(1,)], ValueError),  # the key does not generate Z4
+    ])
+    def test_refusals_raise_from_both_deciders(self, f, h_gens, error):
+        # The one-entry cache holds only validated instances, so the
+        # brute force refuses again what hom_extends has just refused.
+        z4 = Z([4])
+        h = Subgroup.generated_by(z4, h_gens)
+        with pytest.raises(error):
+            hom_extends(f, h, z4, z4)
+        with pytest.raises(error):
+            hom_extends_bruteforce(f, h, z4, z4)
+
+    def test_equal_instances_share_one_validation(self):
+        # An equal but distinct f, h, g and m hit the cache.
+        g, m = Z([2, 4]), Z([4])
+        f = {(1, 0): (2,), (0, 1): (1,)}
+        finite._validated_items.cache_clear()
+        first = _validated_instance(f, Subgroup.whole(g), g, m)
+        g2 = Z([4, 2])
+        again = _validated_instance(dict(reversed(f.items())), Subgroup.generated_by(g2, list(f)), g2, Z([4]))
+        assert finite._validated_items.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert again == first == ([(0, 1), (1, 0)], [(1,), (2,)])
 
     def test_bruteforce_agrees_on_random_instances(self):
         rng = random.Random(23)
