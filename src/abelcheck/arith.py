@@ -67,15 +67,20 @@ def smallest_prime_not_in(excluded) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}.  Trial division
+    stops at a prime cofactor, tested (below MILLER_RABIN_LIMIT) at the
+    start and after each divisor found, never once per trial divisor."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+    prime = n < MILLER_RABIN_LIMIT and is_prime(n)
+    while not prime and d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            prime = n < MILLER_RABIN_LIMIT and is_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1

@@ -17,7 +17,7 @@ summands by a type representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .arith import is_prime
 from .errors import NonTorsionFreeInput
@@ -63,8 +63,8 @@ class Characteristic:
     """Eventually-constant height sequence over all primes.
 
     ``default`` (0 or INF) is the height at every prime not listed in
-    ``exceptions``; exception entries never repeat a prime and never
-    carry the default value.
+    ``exceptions``, a mapping from primes to heights; the stored entries
+    are sorted by prime and never carry the default value.
 
     >>> Characteristic(0, {2: 3})
     Characteristic(default=0, exceptions=((2, 3),))
@@ -75,22 +75,16 @@ class Characteristic:
     default: Height
     exceptions: tuple[tuple[int, Height], ...] = ()
 
-    def __init__(self, default: Height, exceptions: Mapping[int, Height] | Iterable[tuple[int, Height]] = ()) -> None:
+    def __init__(self, default: Height, exceptions: Mapping[int, Height] = {}) -> None:
         if default is not INF and default != 0:
             raise ValueError("characteristic default must be 0 or INF")
-        items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
-        cleaned: dict[int, Height] = {}
-        for p, h in items:
+        for p, h in exceptions.items():
             if not is_prime(p):
                 raise ValueError(f"exception index {p} is not prime")
             _check_height(h)
-            if p in cleaned and cleaned[p] != h:
-                raise ValueError(f"conflicting heights for prime {p}")
-            if h is default or h == default:
-                continue
-            cleaned[p] = h
+        cleaned = sorted((p, h) for p, h in exceptions.items() if not (h is default or h == default))
         object.__setattr__(self, "default", default)
-        object.__setattr__(self, "exceptions", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "exceptions", tuple(cleaned))
 
     def height_at(self, p: int) -> Height:
         for q, h in self.exceptions:

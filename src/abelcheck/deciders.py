@@ -20,7 +20,6 @@ from .groups import (
     CanonicalGroup,
     CyclicAtom,
     GroupDescriptor,
-    Multiplicity,
     RationalAtom,
     canonicalize,
     mult_to_json,
@@ -46,12 +45,7 @@ class EvidenceRow:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "condition": self.condition,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return self.__dict__.copy()
 
 
 @dataclass(frozen=True)
@@ -112,28 +106,21 @@ def _per_prime_rows(g: CanonicalGroup, condition: str, holds, note,
 # Poorness.
 
 
-def _socle_summand_rows(g: CanonicalGroup) -> list[EvidenceRow]:
-    return _per_prime_rows(
-        g, "order-p cyclic direct summand present", lambda shape: shape.has_exponent_one_layer,
-        lambda p, shape: "" if p else "generic shape carries an exponent-1 layer",
-        "p-primary part at p={p} has no exponent-1 layer", "generic shape has no exponent-1 layer")
-
-
 def is_poor(g: CanonicalGroup) -> DecisionReport:
     """Injectivity domain is as small as possible (only semisimples).
 
     Holds exactly when the torsion part has an order-p cyclic direct
     summand at every prime, which the canonical form shows directly.
     """
-    return DecisionReport(tuple(_socle_summand_rows(g)), (CIT_POOR,))
+    rows = _per_prime_rows(
+        g, "order-p cyclic direct summand present", lambda shape: shape.has_exponent_one_layer,
+        lambda p, shape: "" if p else "generic shape carries an exponent-1 layer",
+        "p-primary part at p={p} has no exponent-1 layer", "generic shape has no exponent-1 layer")
+    return DecisionReport(tuple(rows), (CIT_POOR,))
 
 
 # ---------------------------------------------------------------------------
 # Pure-splitness / membership in the witness's pure-injectivity domain.
-
-
-def _rank_text(rank: Multiplicity) -> str:
-    return str(mult_to_json(rank))
 
 
 def _pure_split_rows(g: CanonicalGroup) -> list[EvidenceRow]:
@@ -144,7 +131,7 @@ def _pure_split_rows(g: CanonicalGroup) -> list[EvidenceRow]:
 
     reduced_tf = g.reduced_part().torsion_free_part()
     rank_finite = all(m is not OMEGA for _, m in reduced_tf.rationals)
-    rank_detail = f"reduced torsion-free rank = {_rank_text(torsion_free_rank(reduced_tf))}"
+    rank_detail = f"reduced torsion-free rank = {mult_to_json(torsion_free_rank(reduced_tf))}"
     rows.append(EvidenceRow("torsion-free part", "reduced torsion-free rank is finite",
                             rank_finite, rank_detail))
     homogeneous = is_homogeneous(reduced_tf)

@@ -488,7 +488,9 @@ def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list
     """
     limit = DEFAULT_ORDER_BOUND if bound is None else bound
     if g.order > limit:
-        raise BoundExceeded(f"|G| = {g.order} exceeds the bound {limit}")
+        # int -> str refuses more than 4300 digits, so a huge order is stated by its size
+        size = g.order if g.order.bit_length() <= 64 else f"a {g.order.bit_length()}-bit number"
+        raise BoundExceeded(f"|G| = {size} exceeds the bound {limit}")
     comps = g.primary_components()
     if not comps:
         return [Subgroup._from_mask(g, 1)]
@@ -727,17 +729,16 @@ def hom_space_size(g: FiniteAbelianGroup, m: FiniteAbelianGroup) -> int:
 
 
 def hom_extends_bruteforce(f: Mapping[Element, Element], h: Subgroup,
-                           g: FiniteAbelianGroup, m: FiniteAbelianGroup,
-                           cap: int = DEFAULT_HOM_SPACE_CAP) -> bool:
+                           g: FiniteAbelianGroup, m: FiniteAbelianGroup) -> bool:
     """Same question, answered by enumerating every hom g -> m.
 
     Walks the full product of annihilator choices for the images of g's
     standard generators; raises BoundExceeded when that space is larger
-    than ``cap``.
+    than ``DEFAULT_HOM_SPACE_CAP``.
     """
     gens, images = _validated_instance(f, h, g, m)
-    if hom_space_size(g, m) > cap:
-        raise BoundExceeded(f"hom space larger than cap {cap}")
+    if hom_space_size(g, m) > DEFAULT_HOM_SPACE_CAP:
+        raise BoundExceeded(f"hom space larger than cap {DEFAULT_HOM_SPACE_CAP}")
     candidates = [_annihilator_elements(m, mi) for mi in g.factors]
     gen_rows = [list(e) for e in gens]
     for assignment in product(*candidates):

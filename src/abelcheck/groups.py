@@ -220,8 +220,7 @@ class LocalShape:
             check_multiplicity(prufer)
         if tower != 0:
             check_multiplicity(tower)
-        layers = () if tower is OMEGA else tuple(sorted((n, m) for n, m in cyclic.items() if m != 0))
-        return LocalShape(layers, prufer, tower)
+        return _sum_shapes([LocalShape(tuple((n, m) for n, m in cyclic.items() if m != 0), prufer, tower)])
 
     @property
     def is_trivial(self) -> bool:
@@ -389,8 +388,8 @@ def _sum_shapes(shapes: Iterable[LocalShape]) -> LocalShape:
             cyclic[n] = cyclic.get(n, 0) + m
         prufer += shape.prufer
         tower += shape.tower
-    # Sums of valid shapes are valid: build the shape directly, with the
-    # layers an OMEGA tower absorbs dropped as ``LocalShape.make`` would.
+    # The one normal form of a shape: sorted layers, and none beside an
+    # OMEGA tower, which absorbs them.  Sums of valid shapes are valid.
     return LocalShape(() if tower is OMEGA else tuple(sorted(cyclic.items())), prufer, tower)
 
 
@@ -427,13 +426,7 @@ class StructuralSummary:
     is_semisimple: bool
 
     def to_dict(self) -> dict:
-        return {
-            "is_torsion": self.is_torsion,
-            "is_torsion_free": self.is_torsion_free,
-            "is_divisible": self.is_divisible,
-            "is_reduced": self.is_reduced,
-            "is_semisimple": self.is_semisimple,
-        }
+        return self.__dict__.copy()
 
 
 def structural_predicates(g: CanonicalGroup) -> StructuralSummary:

@@ -29,6 +29,7 @@ from .groups import (
     CyclicAtom,
     FixedExponent,
     GroupDescriptor,
+    LocalShape,
     Multiplicity,
     PrimeFamily,
     PruferAll,
@@ -269,6 +270,16 @@ def _render_char_atom(char: Characteristic) -> str:
     return f"R({desc})"
 
 
+def _shape_atoms(shape: LocalShape, p: int | str):
+    """The atoms of ``shape`` at p (a prime or the variable "p"), with multiplicities."""
+    for n, m in shape.cyclic:
+        yield f"Z({p}^{n})", m
+    if shape.prufer != 0:
+        yield f"Z({p}^inf)", shape.prufer
+    if shape.tower != 0:
+        yield f"tower({p})", shape.tower
+
+
 def render(group: CanonicalGroup) -> str:
     """Deterministic text form; parsing it back recovers the group."""
     if group.is_zero:
@@ -278,19 +289,10 @@ def render(group: CanonicalGroup) -> str:
     excl = ""
     if exception_primes:
         excl = "\\{%s}" % ",".join(str(p) for p in exception_primes)
-    for e, m in group.generic.cyclic:
-        pieces.append(f"sum{{p}}[Z(p^{e})]{excl}{_mult_suffix(m)}")
-    if group.generic.prufer != 0:
-        pieces.append(f"sum{{p}}[Z(p^inf)]{excl}{_mult_suffix(group.generic.prufer)}")
-    if group.generic.tower != 0:
-        pieces.append(f"sum{{p}}[tower(p)]{excl}{_mult_suffix(group.generic.tower)}")
+    for atom, m in _shape_atoms(group.generic, "p"):
+        pieces.append(f"sum{{p}}[{atom}]{excl}{_mult_suffix(m)}")
     for p, shape in group.exceptions:
-        for n, m in shape.cyclic:
-            pieces.append(f"Z({p}^{n}){_mult_suffix(m)}")
-        if shape.prufer != 0:
-            pieces.append(f"Z({p}^inf){_mult_suffix(shape.prufer)}")
-        if shape.tower != 0:
-            pieces.append(f"tower({p}){_mult_suffix(shape.tower)}")
+        pieces += (atom + _mult_suffix(m) for atom, m in _shape_atoms(shape, p))
     for char, m in group.rationals:
         pieces.append(f"{_render_char_atom(char)}{_mult_suffix(m)}")
     return " + ".join(pieces)

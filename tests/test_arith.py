@@ -1,11 +1,12 @@
-"""Primality: the Miller-Rabin test against a sieve and trial division."""
+"""Primality and factorization: the Miller-Rabin test against a sieve
+and trial division, and ``factorize`` against plain trial division."""
 
 import random
 from math import isqrt
 
 import pytest
 
-from abelcheck.arith import MILLER_RABIN_LIMIT, is_prime, primes_upto
+from abelcheck.arith import MILLER_RABIN_LIMIT, factorize, is_prime, primes_upto
 
 
 def trial_division(n: int) -> bool:
@@ -50,3 +51,32 @@ def test_refuses_past_the_proven_range():
         is_prime(MILLER_RABIN_LIMIT)
     with pytest.raises(ValueError):
         is_prime(10**30)
+
+
+def trial_factorize(n: int) -> dict[int, int]:
+    """The reference: trial division by 2 and every odd d up to the square
+    root of the cofactor, with no primality test."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(13)
+    draws = [rng.randrange(1, 10**8) for _ in range(300)] + list(range(1, 2000))
+    # prime powers and a prime cofactor after a small part
+    draws += [2**26, 3**16, 9973**2, 2 * 99_999_989, 8 * 9_999_991, 99_999_989]
+    assert [n for n in draws if factorize(n) != trial_factorize(n)] == []
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    assert factorize(1_000_000_000_000_037) == {1_000_000_000_000_037: 1}
+    assert factorize(2**5 * 999_999_999_999_999_989) == {2: 5, 999_999_999_999_999_989: 1}
+    assert factorize(2**20000) == {2: 20000}

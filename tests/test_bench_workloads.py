@@ -1,5 +1,4 @@
-"""One pass of the benchmark's oracle workloads, checked as the benchmark
-checks it.
+"""One pass of each benchmark workload, checked as the benchmark checks it.
 
 Each item goes through its workload's own ``run`` and ``verify``, and the
 SHA-256 of the bytes the items emit over the pass is pinned, so a change
@@ -21,6 +20,7 @@ PASS_DIGESTS = {
     "crosscheck_cli": "460b9780783b546df7902d7896f8460583203d370e6a564f4742ab90801bda5c",
     "rel_inj_grid": "0cd8028751653348260d19ca4d958554f311bd6ae58d89ec592028626f970d13",
     "pure_split_sweep": "50656b3aacc934dc056f934a021172637a43bd32836f8b30a261d6517def9fab",
+    "analyze_mix": "56771f73e9824c1ed3fb52c31259242cc3b4ba6d317ff75d963a10fafca24358",
 }
 
 

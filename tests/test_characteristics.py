@@ -54,8 +54,6 @@ class TestconstructionAndConstants:
             Characteristic(0, {4: 1})
         with pytest.raises(ValueError):
             Characteristic(0, {2: -1})
-        with pytest.raises(ValueError):
-            Characteristic(0, [(2, 1), (2, 2)])
 
     def test_height_lookup(self):
         chi = Characteristic(0, {2: 3, 5: INF})

@@ -60,6 +60,9 @@ EXIT_CODE_CASES = {
     "oracle-csv-json": (["oracle", "summand", "Z2 x Z4", "--json", "--csv"], None, 2,
                         "parse error: --csv and --json exclude each other"),
     "oracle-bound": (["oracle", "subgroups", "Z1024"], None, 3, "bound exceeded: |G| = 1024"),
+    # orders past int -> str's 4300-digit limit
+    "oracle-huge-order": (["oracle", "subgroups", "Z(2^20000)"], None, 3, "bound exceeded: |G| = "),
+    "oracle-huge-order-rel-inj": (["oracle", "rel-inj", "Z4", "Z(2^20000)"], None, 3, "bound exceeded: |G| = "),
     "oracle-invariant": (["oracle", "summand", "Z2 x Z4"], (finite, "smith_normal_form", zero_diagonal),
                          4, "invariant violation: "),
     "crosscheck-count": (["crosscheck", "--count", "-1"], None, 2, "parse error: --count must be at least 0, got -1"),
@@ -84,6 +87,20 @@ def test_exit_code_contract(capsys, monkeypatch, case):
     assert (code, out) == (expected_code, "")
     assert err.startswith(prefix)
     assert err.count("\n") == 1
+
+
+def test_console_script_is_main():
+    # setuptools' script wrapper passes main's return value to sys.exit.
+    lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
+    target = next(line for line in lines if line.startswith("abelcheck = ")).split('"')[1]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+
+
+def test_module_run_prints_the_version():
+    proc = subprocess.run([sys.executable, "-m", "abelcheck.cli", "--version"], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, b"abelcheck 0.1.0\n")
 
 
 class TestAnalyze:
@@ -354,6 +371,15 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "subgroups", "Zfoo")
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("command", [["subgroups"], ["rel-inj", "Z4"]])
+    def test_prime_order_over_the_bound_exits_3_at_once(self, capsys, command):
+        # Trial division up to the square root took seconds on this prime.
+        started = time.perf_counter()
+        code, _, err = run(capsys, "oracle", *command, "Z1000000000000037")
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert err == "bound exceeded: |G| = 1000000000000037 exceeds the bound 512\n"
 
     def test_bound_exceeded_exit_3(self, capsys):
         code, _, err = run(capsys, "oracle", "subgroups", "Z1024")
