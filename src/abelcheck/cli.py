@@ -231,6 +231,7 @@ def cmd_oracle(args) -> int:
         lines = [f"diagonal: {diagonal(s)}"]
     elif pair:
         m, n = map(FiniteAbelianGroup.from_string, args.args)
+        finite.check_order_bound(m, args.bound)  # n's is checked as its subgroups are enumerated
         decide = finite.is_relatively_injective if command == "rel-inj" else finite.is_relatively_pure_injective
         verdict = decide(m, n, bound=args.bound)
         result = {"m": str(m), "n": str(n), command.replace("-", "_"): verdict}
@@ -264,9 +265,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
             rows.append([int(x) for x in chunk.split(",")])
         except ValueError:
             raise ValueError(f"cannot parse matrix row {chunk!r}")
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError("matrix rows have unequal lengths")
-    return rows
+    return rows  # smith_normal_form refuses a ragged one
 
 
 # ---------------------------------------------------------------------------

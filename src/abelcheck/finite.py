@@ -71,13 +71,11 @@ class FiniteAbelianGroup:
     __slots__ = ("factors", "order", "_strides", "_cache")
 
     def __init__(self, orders: Iterable[int] = ()):
-        refined: list[tuple[int, int]] = []
-        for m in orders:
+        orders = list(orders)
+        for m in orders:  # all before any is factorized
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"cyclic order must be a positive integer, got {m!r}")
-            for p, e in factorize(m).items():
-                refined.append((p, e))
-        refined.sort()
+        refined = sorted((p, e) for m in orders for p, e in factorize(m).items())
         self._set_factors(tuple(p**e for p, e in refined))
 
     @classmethod
@@ -126,18 +124,12 @@ class FiniteAbelianGroup:
             token = raw.strip()
             if not token:
                 raise ValueError(f"empty factor in {text!r}")
-            m = re.fullmatch(r"[Zz](\d+)", token) or re.fullmatch(r"[Zz]\((\d+)\)", token)
-            if m:
-                orders.append(int(m.group(1)))
-                continue
-            m = re.fullmatch(r"[Zz]\((\d+)\^(\d+)\)", token)
-            if m:
-                orders.append(int(m.group(1)) ** int(m.group(2)))
-                continue
-            raise ValueError(f"cannot parse factor {token!r}")
-        if any(m == 0 for m in orders):
-            raise ValueError("Z0 is not a finite cyclic group")
-        return cls(orders)
+            m = re.fullmatch(r"[Zz](?:(\d+)|\((\d+)(?:\^(\d+))?\))", token)
+            if not m:
+                raise ValueError(f"cannot parse factor {token!r}")
+            digits, base, exponent = m.groups()
+            orders.append(int(digits or base) ** int(exponent or 1))
+        return cls(orders)  # which refuses Z0
 
     # -- sizes --------------------------------------------------------------
 
@@ -473,6 +465,16 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[int]:
     return found
 
 
+def check_order_bound(g: FiniteAbelianGroup, bound: int | None) -> None:
+    """Raise BoundExceeded when |g| is above ``bound`` (``DEFAULT_ORDER_BOUND``
+    when None)."""
+    limit = DEFAULT_ORDER_BOUND if bound is None else bound
+    if g.order > limit:
+        # int -> str refuses more than 4300 digits, so a huge order is stated by its size
+        size = g.order if g.order.bit_length() <= 64 else f"a {g.order.bit_length()}-bit number"
+        raise BoundExceeded(f"|G| = {size} exceeds the bound {limit}")
+
+
 def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list[Subgroup]:
     """Complete, duplicate-free subgroup list (including 0 and g).
 
@@ -486,11 +488,7 @@ def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list
     Within a p-group the order is by (order, element bitmask).  Every
     subgroup is its bitmask over the codes of g; no element set is built.
     """
-    limit = DEFAULT_ORDER_BOUND if bound is None else bound
-    if g.order > limit:
-        # int -> str refuses more than 4300 digits, so a huge order is stated by its size
-        size = g.order if g.order.bit_length() <= 64 else f"a {g.order.bit_length()}-bit number"
-        raise BoundExceeded(f"|G| = {size} exceeds the bound {limit}")
+    check_order_bound(g, bound)
     comps = g.primary_components()
     if not comps:
         return [Subgroup._from_mask(g, 1)]
@@ -636,8 +634,6 @@ def quotient(g: FiniteAbelianGroup, h: Subgroup) -> FiniteAbelianGroup:
     """Invariant-factor decomposition of g/h via the relation matrix."""
     _require_subgroup(h, g)
     r = g.rank
-    if r == 0:
-        return FiniteAbelianGroup([])
     rows = [[g.factors[i] if j == i else 0 for j in range(r)] for i in range(r)]
     rows += [list(e) for e in h.generating_set()]
     _, s, _ = smith_normal_form(rows)
@@ -754,14 +750,7 @@ def hom_extends_bruteforce(f: Mapping[Element, Element], h: Subgroup,
 
 def _annihilator_elements(m: FiniteAbelianGroup, s: int) -> list[Element]:
     """Elements y of m with s*y = 0, in coordinate order."""
-    key = ("ann", s)
-    if key not in m._cache:
-        axes = []
-        for k in m.factors:
-            step = k // gcd(k, s)
-            axes.append(range(0, k, step))
-        m._cache[key] = [tuple(t) for t in product(*axes)]
-    return m._cache[key]
+    return list(product(*[range(0, k, k // gcd(k, s)) for k in m.factors]))
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +942,7 @@ def isomorphism_classes_upto(max_order: int) -> list[FiniteAbelianGroup]:
 
 __all__ = [
     "DEFAULT_ORDER_BOUND", "DEFAULT_HOM_SPACE_CAP", "Element",
-    "FiniteAbelianGroup", "Subgroup", "enumerate_subgroups",
+    "FiniteAbelianGroup", "Subgroup", "check_order_bound", "enumerate_subgroups",
     "is_pure_subgroup", "is_direct_summand", "quotient",
     "abstract_presentation", "hom_extends", "hom_extends_bruteforce",
     "hom_space_size", "sample_homomorphism",

@@ -13,10 +13,7 @@ Computational Algebraic Number Theory*, section 2.4).
 
 Pivoting is fixed (smallest nonzero absolute value, row-major
 tie-break; row elimination before column elimination) so U and V are
-reproducible run to run; ``oracle snf --json`` prints them.  A pivot of
-absolute value 1 ends the search early, since no nonzero entry is
-smaller, and skips the pass that folds non-multiples into the pivot,
-since a unit divides everything; neither changes U, S or V.
+reproducible run to run; ``oracle snf --json`` prints them.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ def _check_matrix(a) -> tuple[int, int]:
     for row in a:
         if len(row) != cols:
             raise ValueError("ragged matrix")
-        if set(map(type, row)) <= {int}:
-            continue
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"integer entries required, got {x!r}")
@@ -63,7 +58,7 @@ def _smith_form(a: IntMatrix, rows: int, cols: int) -> tuple[IntMatrix, IntMatri
         v[i][i] = 1
     for t in range(min(rows, cols)):
         # pivot: smallest nonzero absolute value in the trailing block,
-        # first in row-major order; nothing is smaller than 1
+        # first in row-major order
         best = 0
         for i in range(t, rows):
             si = s[i]
@@ -74,10 +69,6 @@ def _smith_form(a: IntMatrix, rows: int, cols: int) -> tuple[IntMatrix, IntMatri
                         x = -x
                     if not best or x < best:
                         best, pi, pj = x, i, j
-                        if x == 1:
-                            break
-            if best == 1:
-                break
         if not best:
             break
         if pi != t:
@@ -130,10 +121,8 @@ def _smith_form(a: IntMatrix, rows: int, cols: int) -> tuple[IntMatrix, IntMatri
                             break
                 else:
                     # force divisibility: fold the first row holding a
-                    # non-multiple onto this pivot; a unit divides all
+                    # non-multiple onto this pivot
                     pivot = st[t]
-                    if pivot == 1 or pivot == -1:
-                        break
                     for i in range(t + 1, rows):
                         si = s[i]
                         if any(si[j] % pivot for j in range(t + 1, cols)):

@@ -60,9 +60,17 @@ EXIT_CODE_CASES = {
     "oracle-csv-json": (["oracle", "summand", "Z2 x Z4", "--json", "--csv"], None, 2,
                         "parse error: --csv and --json exclude each other"),
     "oracle-bound": (["oracle", "subgroups", "Z1024"], None, 3, "bound exceeded: |G| = 1024"),
+    "oracle-bound-m": (["oracle", "rel-inj", "Z1024", "Z2"], None, 3,
+                       "bound exceeded: |G| = 1024 exceeds the bound 512"),
+    "oracle-bound-m-pure": (["oracle", "rel-pure-inj", "Z1024", "Z2"], None, 3,
+                            "bound exceeded: |G| = 1024 exceeds the bound 512"),
+    "oracle-ragged-matrix": (["oracle", "snf", "1,2;3"], None, 2, "parse error: ragged matrix"),
+    "oracle-z0": (["oracle", "subgroups", "Z0"], None, 2,
+                  "parse error: cyclic order must be a positive integer, got 0"),
     # orders past int -> str's 4300-digit limit
     "oracle-huge-order": (["oracle", "subgroups", "Z(2^20000)"], None, 3, "bound exceeded: |G| = "),
     "oracle-huge-order-rel-inj": (["oracle", "rel-inj", "Z4", "Z(2^20000)"], None, 3, "bound exceeded: |G| = "),
+    "oracle-huge-order-m": (["oracle", "rel-inj", "Z(2^20000)", "Z2"], None, 3, "bound exceeded: |G| = "),
     "oracle-invariant": (["oracle", "summand", "Z2 x Z4"], (finite, "smith_normal_form", zero_diagonal),
                          4, "invariant violation: "),
     "crosscheck-count": (["crosscheck", "--count", "-1"], None, 2, "parse error: --count must be at least 0, got -1"),
@@ -284,7 +292,7 @@ class TestOracle:
 
     def test_snf_json_is_golden(self, capsys):
         # Pins U and V as well as S; the digest was recorded before the
-        # elimination lost its closures and gained its unit-pivot shortcuts.
+        # elimination lost its closures.
         digest = hashlib.sha256()
         for matrix in ("2,4;6,8", "0,0;0,0", "4,6,10;6,9,15;2,3,5", "12,18,30;-4,6,8", "7"):
             code, out, _ = run(capsys, "oracle", "snf", matrix, "--json")

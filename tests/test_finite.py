@@ -311,10 +311,12 @@ class TestGroupBasics:
         assert Z.from_string("Z(2^2) x Z(2)") == Z([4, 2])
         assert Z.from_string("Z6") == Z([2, 3])
         assert Z.from_string("Z1") == Z([])
-        with pytest.raises(ValueError):
-            Z.from_string("Z0")
-        with pytest.raises(ValueError):
-            Z.from_string("Z2 + Z3")
+        assert Z.from_string("z(4)") == Z([4])
+        assert Z.from_string("Z(2^0)") == Z([])
+        # the last is refused before its semiprime is factorized, which runs past 10 s
+        for text in ("Z0", "Z2 + Z3", "Z(4", "Z4)", "Z()", "Z(2^)", "Z(0^5)", "Z999999866000004473 x Z0"):
+            with pytest.raises(ValueError):
+                Z.from_string(text)
 
     def test_str_round_trip(self):
         for g in (Z([4, 2]), Z([]), Z([8, 9, 5])):
@@ -683,6 +685,10 @@ class TestQuotient:
         g = Z([2, 4])
         assert quotient(g, Subgroup.generated_by(g, [(1, 1)])) == Z([2])
         assert quotient(g, Subgroup.trivial(g)) == g
+
+    def test_trivial_group(self):
+        # rank 0: the relation matrix is empty and its Smith form gives Z1
+        assert quotient(Z([]), Subgroup.trivial(Z([]))) == Z([])
 
     def test_order_law_and_coset_oracle(self):
         rng = random.Random(17)

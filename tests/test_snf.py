@@ -29,8 +29,8 @@ def mat_mul(a, b):
 
 
 def reference_smith_form(a):
-    """The elimination as it stood before its unit-pivot shortcuts and
-    trailing-block updates, closures and all: the library must return
+    """The elimination as it stood before its trailing-block updates,
+    closures and all: the library must return
     the same U, S and V, because ``oracle snf --json`` prints them."""
     rows = len(a)
     cols = len(a[0]) if rows else 0

@@ -23,6 +23,33 @@ def test_no_assert_statements():
     assert not found, "assert statements in the library: " + ", ".join(found)
 
 
+def test_every_lru_cache_keeps_one_entry():
+    # A cache that grows with its inputs must be a visible decision, made
+    # by editing this test: every ``lru_cache`` in the library is
+    # ``lru_cache(maxsize=1)``, and the unbounded ``functools.cache`` is
+    # not used.
+    kept, found = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        one_entry = {id(node.func) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and not node.args
+                     and [(k.arg, ast.unparse(k.value)) for k in node.keywords] == [("maxsize", "1")]}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                bad = any(alias.name == "cache" for alias in node.names)
+            elif isinstance(node, ast.Attribute) and node.attr == "cache":
+                bad = ast.unparse(node.value) == "functools"
+            elif getattr(node, "id", None) == "lru_cache" or getattr(node, "attr", None) == "lru_cache":
+                bad = id(node) not in one_entry
+                kept += not bad
+            else:
+                continue
+            if bad:
+                found.append(f"{path.relative_to(SOURCE.parents[1])}:{node.lineno}")
+    assert kept, f"no lru_cache(maxsize=1) under {SOURCE}"
+    assert not found, "unbounded or larger caches in the library: " + ", ".join(found)
+
+
 def _module_imports(body):
     """The import statements of a module body, also under its ``if``
     blocks (``if TYPE_CHECKING:``), but not inside functions or classes."""
