@@ -34,7 +34,6 @@ from .errors import (
 from .finite import (
     FiniteAbelianGroup,
     Subgroup,
-    element_height,
     enumerate_subgroups,
     hom_extends,
     hom_extends_bruteforce,

@@ -86,20 +86,10 @@ class Characteristic:
         object.__setattr__(self, "default", default)
         object.__setattr__(self, "exceptions", tuple(cleaned))
 
-    def height_at(self, p: int) -> Height:
-        for q, h in self.exceptions:
-            if q == p:
-                return h
-        return self.default
-
     @property
     def is_all_infinite(self) -> bool:
         """True exactly for the characteristic of the full rationals."""
         return self.default is INF and not self.exceptions
-
-    @property
-    def is_all_zero(self) -> bool:
-        return self.default == 0 and not self.exceptions
 
     def type_representative(self) -> "Characteristic":
         """Canonical member of this characteristic's equivalence class.

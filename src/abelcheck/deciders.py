@@ -64,9 +64,6 @@ class DecisionReport:
     def verdict(self) -> bool:
         return all(row.passed for row in self.evidence)
 
-    def failing_subjects(self) -> tuple[str, ...]:
-        return tuple(row.subject for row in self.evidence if not row.passed)
-
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -248,12 +245,3 @@ def witness_truncation_without_unit_layer(max_prime: int, max_exponent: int) -> 
              for n in range(2, max_exponent + 1)]
     return canonicalize(GroupDescriptor(parts))
 
-
-__all__ = [
-    "EvidenceRow", "DecisionReport",
-    "is_poor", "is_pure_split",
-    "in_pure_injectivity_domain_of_witness", "pi_poor_necessary",
-    "witness_truncation", "witness_truncation_without_unit_layer",
-    "CIT_POOR", "CIT_PS_TORSION", "CIT_PS_PGROUP",
-    "CIT_PS_TF", "CIT_PS_MIXED", "CIT_WITNESS", "CIT_PI_TORSION", "CIT_PI_UNBOUNDED",
-]

@@ -47,7 +47,6 @@ from math import gcd, lcm, prod
 from typing import Collection, Iterable, Mapping
 
 from .arith import divisors, factorize, partitions
-from .characteristics import INF, Height
 from .errors import BoundExceeded, IllDefinedHom, InternalConsistencyError, NotASubgroup, NotCoprime
 from .snf import smith_normal_form
 
@@ -118,24 +117,25 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_string(cls, text: str) -> "FiniteAbelianGroup":
-        """Parse "Z4 x Z2", "Z(2^2) x Z(2)", "Z1"; composites factor."""
+        """Parse "Z4 x Z2", "Z(2^2) x Z(2)", "Z1" in ASCII digits; composites factor."""
         orders = []
         for raw in text.split("x"):
             token = raw.strip()
             if not token:
                 raise ValueError(f"empty factor in {text!r}")
-            m = re.fullmatch(r"[Zz](?:(\d+)|\((\d+)(?:\^(\d+))?\))", token)
+            m = re.fullmatch(r"[Zz](?:([0-9]+)|\(([0-9]+)(?:\^([0-9]+))?\))", token)
             if not m:
                 raise ValueError(f"cannot parse factor {token!r}")
             digits, base, exponent = m.groups()
-            orders.append(int(digits or base) ** int(exponent or 1))
-        return cls(orders)  # which refuses Z0
+            q = int(digits or base)
+            orders.append(q and q ** int(exponent or 1))  # Z(0^0) is order 0, not 0**0 = 1
+        return cls(orders)  # which refuses order 0
 
     # -- sizes --------------------------------------------------------------
 
     @property
     def exponent(self) -> int:
-        return lcm(*self.factors) if self.factors else 1
+        return lcm(*self.factors)
 
     @property
     def rank(self) -> int:
@@ -155,9 +155,6 @@ class FiniteAbelianGroup:
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.factors))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % m for x, m in zip(a, self.factors))
 
     def smul(self, k: int, a: Element) -> Element:
         return tuple((k * x) % m for x, m in zip(a, self.factors))
@@ -232,10 +229,10 @@ class FiniteAbelianGroup:
 class Subgroup:
     """Subgroup of a FiniteAbelianGroup, stored as its element bitmask
     ``_mask`` (bit c set for code c) and nothing else: order, membership,
-    equality and hashing read the mask, ``codes`` and ``elements()``
-    decode it, and ``generating_set()`` reads the greedy walk over it
-    (see ``_chain_walk``).  A mask takes |G|/8 bytes whatever the
-    subgroup's size, and no generator list is kept beside it.
+    equality and hashing read the mask, ``elements()`` decodes it, and
+    ``generating_set()`` reads the greedy walk over it (see
+    ``_chain_walk``).  A mask takes |G|/8 bytes whatever the subgroup's
+    size, and no generator list is kept beside it.
     """
 
     __slots__ = ("group", "_mask")
@@ -276,10 +273,6 @@ class Subgroup:
     @classmethod
     def whole(cls, group: FiniteAbelianGroup) -> "Subgroup":
         return cls._from_mask(group, (1 << group.order) - 1)
-
-    @property
-    def codes(self) -> frozenset[int]:
-        return frozenset(_set_bits(self._mask))
 
     @property
     def order(self) -> int:
@@ -721,7 +714,7 @@ def hom_extends(f: Mapping[Element, Element], h: Subgroup,
 
 
 def hom_space_size(g: FiniteAbelianGroup, m: FiniteAbelianGroup) -> int:
-    return prod(gcd(mi, kj) for mi in g.factors for kj in m.factors) if g.factors and m.factors else 1
+    return prod(gcd(mi, kj) for mi in g.factors for kj in m.factors)
 
 
 def hom_extends_bruteforce(f: Mapping[Element, Element], h: Subgroup,
@@ -884,24 +877,7 @@ def is_pure_split_finite(n: FiniteAbelianGroup, bound: int | None = None) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Heights and the localization homomorphism.
-
-
-def element_height(g: FiniteAbelianGroup, a: Element, p: int) -> Height:
-    """Largest k with a in p^k * G; INF when a survives every power.
-
-    p^k * Z(m) is the multiples of gcd(p^k, m), so p^k * G is the digit
-    mask of those steps, and the chain stops shrinking when they do."""
-    code = g.encode(g.validate_element(a))
-    steps = [1] * g.rank
-    k, q = 0, p
-    while True:
-        nxt = [gcd(q, m) for m in g.factors]
-        if nxt == steps:
-            return INF
-        if not _digit_mask(g, nxt) >> code & 1:
-            return k
-        steps, k, q = nxt, k + 1, q * p
+# The localization homomorphism.
 
 
 def localization_hom_image(m: FiniteAbelianGroup, a: Element, b: int, c: int) -> Element:
@@ -939,14 +915,3 @@ def isomorphism_classes_of_order(n: int) -> list[FiniteAbelianGroup]:
 def isomorphism_classes_upto(max_order: int) -> list[FiniteAbelianGroup]:
     return [g for n in range(1, max_order + 1) for g in isomorphism_classes_of_order(n)]
 
-
-__all__ = [
-    "DEFAULT_ORDER_BOUND", "DEFAULT_HOM_SPACE_CAP", "Element",
-    "FiniteAbelianGroup", "Subgroup", "check_order_bound", "enumerate_subgroups",
-    "is_pure_subgroup", "is_direct_summand", "quotient",
-    "abstract_presentation", "hom_extends", "hom_extends_bruteforce",
-    "hom_space_size", "sample_homomorphism",
-    "is_relatively_injective", "is_relatively_pure_injective",
-    "first_pure_non_summand", "is_pure_split_finite", "element_height", "localization_hom_image",
-    "isomorphism_classes_of_order", "isomorphism_classes_upto",
-]

@@ -444,13 +444,3 @@ def structural_predicates(g: CanonicalGroup) -> StructuralSummary:
         is_semisimple=not g.rationals and all(s.is_semisimple for s in shapes),
     )
 
-
-__all__ = [
-    "OMEGA", "Multiplicity", "check_multiplicity", "mult_to_json",
-    "CyclicAtom", "PruferAtom", "RationalAtom", "TowerAtom",
-    "FixedExponent", "PruferAll", "UnboundedTower", "PrimeFamily",
-    "GroupDescriptor", "LocalShape", "TRIVIAL_SHAPE",
-    "CanonicalGroup", "ZERO_GROUP", "canonicalize", "group_of", "direct_sum",
-    "torsion_free_rank",
-    "StructuralSummary", "structural_predicates",
-]

@@ -297,5 +297,3 @@ def render(group: CanonicalGroup) -> str:
         pieces.append(f"{_render_char_atom(char)}{_mult_suffix(m)}")
     return " + ".join(pieces)
 
-
-__all__ = ["parse", "render", "GroupDescriptor"]

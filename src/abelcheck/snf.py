@@ -177,7 +177,3 @@ def linear_system_solvable(a: IntMatrix, b: list[int]) -> bool:
             return False
     return True
 
-
-__all__ = [
-    "IntMatrix", "smith_normal_form", "diagonal", "integer_row_kernel", "linear_system_solvable",
-]

@@ -28,8 +28,9 @@ def equivalent(a, b):
     and this is the reference it is compared with."""
     if (a.default is INF) != (b.default is INF):
         return False
-    for p in {p for p, _ in a.exceptions} | {p for p, _ in b.exceptions}:
-        ha, hb = a.height_at(p), b.height_at(p)
+    ea, eb = dict(a.exceptions), dict(b.exceptions)
+    for p in ea.keys() | eb.keys():
+        ha, hb = ea.get(p, a.default), eb.get(p, b.default)
         if ha != hb and (ha is INF or hb is INF):
             return False
     return True
@@ -37,7 +38,7 @@ def equivalent(a, b):
 
 class TestconstructionAndConstants:
     def test_named_constants(self):
-        assert CHAR_Z.is_all_zero
+        assert CHAR_Z.default == 0 and not CHAR_Z.exceptions
         assert CHAR_Q.is_all_infinite
         loc3 = localization_char(3)
         assert loc3.default is INF
@@ -57,9 +58,10 @@ class TestconstructionAndConstants:
 
     def test_height_lookup(self):
         chi = Characteristic(0, {2: 3, 5: INF})
-        assert chi.height_at(2) == 3
-        assert chi.height_at(5) is INF
-        assert chi.height_at(7) == 0
+        heights = dict(chi.exceptions)
+        assert heights.get(2, chi.default) == 3
+        assert heights.get(5, chi.default) is INF
+        assert heights.get(7, chi.default) == 0
 
 
 class TestEquivalence:

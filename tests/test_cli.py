@@ -67,6 +67,9 @@ EXIT_CODE_CASES = {
     "oracle-ragged-matrix": (["oracle", "snf", "1,2;3"], None, 2, "parse error: ragged matrix"),
     "oracle-z0": (["oracle", "subgroups", "Z0"], None, 2,
                   "parse error: cyclic order must be a positive integer, got 0"),
+    "oracle-z0-power-0": (["oracle", "subgroups", "Z(0^0)"], None, 2,
+                          "parse error: cyclic order must be a positive integer, got 0"),
+    "oracle-unicode-digit": (["oracle", "subgroups", "Z\u0663"], None, 2, "parse error: cannot parse factor"),
     # orders past int -> str's 4300-digit limit
     "oracle-huge-order": (["oracle", "subgroups", "Z(2^20000)"], None, 3, "bound exceeded: |G| = "),
     "oracle-huge-order-rel-inj": (["oracle", "rel-inj", "Z4", "Z(2^20000)"], None, 3, "bound exceeded: |G| = "),

@@ -92,6 +92,28 @@ def test_no_unused_imports():
     assert not found, "unused imports in the library: " + ", ".join(found)
 
 
+def _import_words(tree):
+    """Every dotted part of every module and name that the import
+    statements of a module mention, anywhere in it (inside functions
+    too): ``from .groups import OMEGA`` gives "groups" and "OMEGA"."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]:
+                yield from name.split(".")
+
+
+def test_finite_oracle_imports_nothing_from_the_symbolic_layer():
+    # The oracle checks the deciders, so it shares no code or type with
+    # them: finite and what it builds on read only each other.
+    symbolic = {"characteristics", "groups", "parser", "deciders", "cli"}
+    found = []
+    for name in ("finite", "snf", "arith", "errors"):
+        path = SOURCE / f"{name}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{name} imports {word}" for word in _import_words(tree) if word in symbolic]
+    assert not found, "the finite oracle imports the symbolic layer: " + ", ".join(found)
+
+
 def test_readme_python_blocks_run():
     # The quick tour's examples run as written, each in a fresh namespace;
     # the code keeps its README line numbers in tracebacks.
