@@ -72,7 +72,7 @@ class FiniteAbelianGroup:
     def __init__(self, orders: Iterable[int] = ()):
         orders = list(orders)
         for m in orders:  # all before any is factorized
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise ValueError(f"cyclic order must be a positive integer, got {m!r}")
         refined = sorted((p, e) for m in orders for p, e in factorize(m).items())
         self._set_factors(tuple(p**e for p, e in refined))
@@ -148,7 +148,7 @@ class FiniteAbelianGroup:
 
     def validate_element(self, a: Element) -> Element:
         if len(a) != len(self.factors) or any(
-            not isinstance(c, int) or not 0 <= c < m for c, m in zip(a, self.factors)
+            type(c) is not int or not 0 <= c < m for c, m in zip(a, self.factors)
         ):
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
@@ -795,14 +795,16 @@ def _every_hom_extends(m: FiniteAbelianGroup, n: FiniteAbelianGroup, bound: int 
 
     A k with gcd(|k|, exp m) = 1 is skipped before its generating set,
     presentation or extension check is built, since its only hom into m
-    is 0 (see ``is_relatively_injective``).  For every other k only a
-    generating set of Hom(k, m) is checked, which suffices because the
-    homs that extend form a subgroup (see ``_all_homs_on_generators``).
-    No pure, summand or injectivity theorem is assumed.
+    is 0 (see ``is_relatively_injective``).  So is k = n, before its
+    purity test: every hom n -> m extends to n as itself.  For every
+    other k only a generating set of Hom(k, m) is checked, which
+    suffices because the homs that extend form a subgroup (see
+    ``_all_homs_on_generators``).  No pure, summand or injectivity
+    theorem is assumed.
     """
     e = m.exponent
     for k in enumerate_subgroups(n, bound):
-        if gcd(k.order, e) == 1 or pure and not is_pure_subgroup(k, n):
+        if gcd(k.order, e) == 1 or k.order == n.order or pure and not is_pure_subgroup(k, n):
             continue
         if not _extension_exists(n, k.generating_set(), _all_homs_on_generators(k, m), m):
             return False
@@ -815,16 +817,19 @@ def is_relatively_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
 
     A subgroup k with gcd(|k|, exp m) = 1 is skipped: by Lagrange the
     image of a hom k -> m has order dividing both, so the only hom is 0,
-    which extends.  For every other k only a generating set of Hom(k, m)
-    is checked (see ``_every_hom_extends``)."""
+    which extends.  k = n is skipped too, since every hom n -> m extends
+    as itself.  For every other k only a generating set of Hom(k, m) is
+    checked (see ``_every_hom_extends``)."""
     return _every_hom_extends(m, n, bound, pure=False)
 
 
 def is_relatively_pure_injective(m: FiniteAbelianGroup, n: FiniteAbelianGroup,
                                  bound: int | None = None) -> bool:
     """The same check over the pure subgroups of n only (purity is tested
-    by its definition), with the same skip of every k with
-    gcd(|k|, exp m) = 1, whose only hom into m is 0 by Lagrange."""
+    by its definition), with the same skips: every k with
+    gcd(|k|, exp m) = 1, whose only hom into m is 0 by Lagrange, and
+    k = n, whose every hom extends as itself, before either is tested
+    for purity."""
     return _every_hom_extends(m, n, bound, pure=True)
 
 

@@ -276,6 +276,24 @@ def rel_inj_by_counting(m, n, pure_only=False):
     return True
 
 
+def count_finite_calls(monkeypatch, *names):
+    """Wrap each named function of ``finite`` in a call counter; returns
+    the counts by name, which the caller may reset."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(finite, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(finite, name, counted(name))
+    return calls
+
+
 # -- groups and parsing -------------------------------------------------------
 
 
@@ -335,6 +353,22 @@ class TestGroupBasics:
         assert g.exponent == 4
         with pytest.raises(ValueError):
             g.validate_element((2, 0))
+
+    def test_bools_are_refused(self):
+        # As smith_normal_form refuses them: True is an int but no order
+        # or coordinate.
+        for orders in ([True, 2], [False], [2, True]):
+            with pytest.raises(ValueError, match="cyclic order must be a positive integer"):
+                Z(orders)
+        g = Z([2, 4])
+        for a in ((True, 0), (0, True), (False, 1)):
+            with pytest.raises(ValueError, match="is not an element of"):
+                g.validate_element(a)
+            with pytest.raises(ValueError):
+                a in Subgroup.generated_by(g, [(1, 0)])
+        with pytest.raises(ValueError):
+            smith_normal_form([[True]])
+        assert g.validate_element((1, 3)) == (1, 3)
 
     def test_empty_products_are_one(self):
         assert Z([]).exponent == 1
@@ -1069,16 +1103,8 @@ class TestRelativeInjectivity:
         # Every subgroup of Z2^6 has 2-power order, coprime to
         # exp(Z3) = 3: the only hom into Z3 is 0, so no subgroup reaches a
         # presentation, a generating hom or an extension check.
-        calls = {"smith_normal_form": 0, "homs": 0, "_extension_exists": 0}
-
-        def counted(name):
-            original = getattr(finite, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-            return wrapper
-
+        calls = count_finite_calls(monkeypatch, "smith_normal_form", "_extension_exists")
+        calls["homs"] = 0
         generating = finite._all_homs_on_generators
 
         def counted_homs(k, m):
@@ -1086,8 +1112,6 @@ class TestRelativeInjectivity:
                 calls["homs"] += 1
                 yield hom
 
-        for name in ("smith_normal_form", "_extension_exists"):
-            monkeypatch.setattr(finite, name, counted(name))
         monkeypatch.setattr(finite, "_all_homs_on_generators", counted_homs)
         m, n = Z([3]), Z([2] * 6)
         assert is_relatively_injective(m, n)
@@ -1096,6 +1120,36 @@ class TestRelativeInjectivity:
         # The same counters see a group that is not skipped.
         assert not is_relatively_injective(Z([2]), Z([4]))
         assert calls["smith_normal_form"] > 0 and calls["homs"] > 0 and calls["_extension_exists"] > 0
+
+    def test_n_itself_is_skipped(self, monkeypatch):
+        # Every hom N -> M extends to N as itself, so N is neither tested
+        # for purity nor checked: Z2 x Z4 has 8 subgroups, of which 0 and
+        # N are skipped, and the only nonzero subgroup of Z2 or Z3 is N.
+        calls = count_finite_calls(monkeypatch, "_extension_exists", "smith_normal_form", "is_pure_subgroup")
+        cases = [(is_relatively_injective, Z([4]), Z([2, 4]), (6, 10, 0)),
+                 (is_relatively_pure_injective, Z([4]), Z([2, 4]), (4, 6, 6))]
+        cases += [(oracle, m, n, (0, 0, 0)) for m, n in ((Z([4]), Z([2])), (Z([9]), Z([3])))
+                  for oracle in (is_relatively_injective, is_relatively_pure_injective)]
+        for oracle, m, n, expected in cases:
+            calls.update(dict.fromkeys(calls, 0))
+            assert oracle(m, n), (oracle.__name__, m, n)
+            assert tuple(calls.values()) == expected, (oracle.__name__, m, n, calls)
+
+    def test_grid_work_is_pinned(self, monkeypatch):
+        # Both oracles on the 384 pairs (M, N) with 1 < |M| <= 16 and
+        # 1 < |N| <= 12, one group per isomorphism class: the work counts
+        # are exact, so a change that adds work back fails here untimed.
+        ms = [grp for n in range(2, 17) for grp in isomorphism_classes_of_order(n)]
+        ns = [grp for n in range(2, 13) for grp in isomorphism_classes_of_order(n)]
+        pairs = [(m, n) for m in ms for n in ns]
+        assert len(pairs) == 384
+        calls = count_finite_calls(monkeypatch, "_extension_exists", "smith_normal_form")
+        negatives = 0
+        for m, n in pairs:
+            for oracle in (is_relatively_injective, is_relatively_pure_injective):
+                negatives += not oracle(m, n)
+        assert negatives == 53
+        assert calls == {"_extension_exists": 1163, "smith_normal_form": 2593}
 
     def test_generating_homs_span_every_hom(self):
         # The homs checked generate Hom(K, M) inside M^t (t generators of K).
@@ -1137,7 +1191,7 @@ class TestRelativeInjectivity:
 
         monkeypatch.setattr(finite, "_all_homs_on_generators", counted)
         assert is_relatively_pure_injective(m, n)
-        # Z4^4 itself poses no congruence to check, so its homs are never drawn.
+        # Z4^4 itself is skipped as N, so its homs are never drawn.
         assert counts and max(counts) == 3 * 6
 
     def test_pure_variant_examples(self):
