@@ -17,7 +17,9 @@ G = G' + Z(p^e), a subgroup H is fixed by H' = H meet G', its projection
 p^(e-j)*c in H'; each such triple gives exactly one H.  That is
 bookkeeping on the direct sum: the elements of every subgroup are still
 added up one by one, and none of the pure or summand theorems the oracle
-checks is used.
+checks is used.  Primary components are joined by multiplying: an earlier
+mask times the next one's spread (bit c moved to bit base*c, base the order
+joined so far) carries nothing, as the earlier mask is below 2^base.
 
 One walk grows the span of a list of elements, and it serves the
 generated subgroups, the greedy generating sets, the invariant
@@ -421,7 +423,8 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[int]:
     first code, and per p^j with p^(e-j) at least the order of c + H'.
     The row of c over G' is built once and only for such c.  Only masks
     are kept: the cosets of H' are translated from its codes, read off
-    its mask when the next factor extends it.
+    its mask when the next factor extends it.  A sort by mask, then a
+    stable one by bit count, gives (order, mask) with no key per mask.
     """
     found = [1]  # the trivial group's one subgroup: bit 0, code 0
     for i, q in enumerate(part.factors):
@@ -454,7 +457,8 @@ def _pgroup_subgroups(part: FiniteAbelianGroup, p: int) -> list[int]:
                     grown.append(mask)
                     step *= p
         found = grown
-    found.sort(key=lambda mask: (mask.bit_count(), mask))
+    found.sort()
+    found.sort(key=int.bit_count)
     return found
 
 
@@ -471,35 +475,31 @@ def check_order_bound(g: FiniteAbelianGroup, bound: int | None) -> None:
 def enumerate_subgroups(g: FiniteAbelianGroup, bound: int | None = None) -> list[Subgroup]:
     """Complete, duplicate-free subgroup list (including 0 and g).
 
-    Subgroups of a finite abelian group split over the primary
-    components, so each Sylow part is enumerated on its own and the
-    results are recombined.  A p-group's subgroups are built factor by
-    factor, each exactly once (see ``_pgroup_subgroups``): every subgroup
-    is the union of cosets of a subgroup of the earlier factors, and its
-    elements are added up one by one, with no theorem about purity or
-    summands assumed, so the list stays a brute force ground truth.
-    Within a p-group the order is by (order, element bitmask).  Every
-    subgroup is its bitmask over the codes of g; no element set is built.
+    Subgroups split over the primary components, so each Sylow part is
+    enumerated on its own (see ``_pgroup_subgroups``: each subgroup once,
+    its elements added up one by one, no purity or summand theorem used,
+    so the list stays a brute force ground truth) and the parts are
+    joined.  With base the order of the components joined so far, each
+    mask of the next is spread once, bit c to bit base*c, and a joined
+    mask is an earlier mask times a spread: the earlier mask is below
+    2^base, so the product is the union of shifted copies with no carry.
+    The order is by (order, mask) within a p-group and component-major
+    across them, the first varying slowest.  A subgroup is its bitmask
+    over the codes of g; no element set is built.
     """
     check_order_bound(g, bound)
     comps = g.primary_components()
     if not comps:
         return [Subgroup._from_mask(g, 1)]
 
-    # The components occupy consecutive coordinates in order, so an
-    # element's code is the sum of its component codes, each times the
-    # order of all earlier components: a mask is the earlier components'
-    # mask shifted by each such offset, one per set bit of the next's.
-    per_comp = [_pgroup_subgroups(part, p) for p, part in comps]
-    later = [[_set_bits(mask) for mask in masks] for masks in per_comp[1:]]
-    out: list[Subgroup] = []
-    for mask, *members in product(per_comp[0], *later):
-        base = comps[0][1].order
-        for (_, part), codes in zip(comps[1:], members):
-            mask = sum([mask << base * e for e in codes])
-            base *= part.order
-        out.append(Subgroup._from_mask(g, mask))
-    return out
+    (p, part), *rest = comps
+    masks = _pgroup_subgroups(part, p)
+    base = part.order
+    for p, part in rest:
+        spreads = [sum([1 << base * c for c in _set_bits(mask)]) for mask in _pgroup_subgroups(part, p)]
+        masks = [mask * spread for mask in masks for spread in spreads]
+        base *= part.order
+    return [Subgroup._from_mask(g, mask) for mask in masks]
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ class CyclicAtom:
 
     def __post_init__(self):
         _check_prime(self.p)
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):
             raise ValueError(f"cyclic exponent must be >= 1, got {self.n!r}")
 
 
@@ -134,7 +134,7 @@ class FixedExponent:
     exponent: int
 
     def __post_init__(self):
-        if not (isinstance(self.exponent, int) and self.exponent >= 1):
+        if not (type(self.exponent) is int and self.exponent >= 1):
             raise ValueError(f"family exponent must be >= 1, got {self.exponent!r}")
 
 
@@ -213,7 +213,7 @@ class LocalShape:
         for n, m in cyclic.items():
             if m == 0:
                 continue
-            if not (isinstance(n, int) and n >= 1):
+            if not (type(n) is int and n >= 1):
                 raise ValueError(f"cyclic exponent must be >= 1, got {n!r}")
             check_multiplicity(m)
         if prufer != 0:

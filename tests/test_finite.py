@@ -515,6 +515,36 @@ class TestEnumeration:
                 cases += 1
         assert cases == 90
 
+    def test_join_matches_product_over_components(self):
+        # Same mask lists in the same order as the product construction on
+        # every abelian group of order at most 512 with two or more primary
+        # components, apart from Z2^7 x Z3, whose 58,424 subgroups take
+        # 0.5 s of the 1.3 s (2-core x86 VM, Python 3.11).  The reference
+        # shifts the joined mask by base*c for each code c of the next
+        # component's subgroup, in itertools.product order: the first
+        # component varies slowest.
+        def reference(g):
+            comps = g.primary_components()
+            per_comp = [finite._pgroup_subgroups(part, p) for p, part in comps]
+            later = [[[c for c in range(part.order) if mask >> c & 1] for mask in masks]
+                     for (_, part), masks in zip(comps[1:], per_comp[1:])]
+            out = []
+            for mask, *members in product(per_comp[0], *later):
+                base = comps[0][1].order
+                for (_, part), codes in zip(comps[1:], members):
+                    mask = sum([mask << base * c for c in codes])
+                    base *= part.order
+                out.append(mask)
+            return out
+
+        cases = 0
+        for g in isomorphism_classes_upto(512):
+            if len(g.primary_components()) < 2 or g.factors == (2,) * 7 + (3,):
+                continue
+            assert [h._mask for h in enumerate_subgroups(g)] == reference(g), g
+            cases += 1
+        assert cases == 831
+
     def test_rows_built_once_on_leading_factors(self, monkeypatch):
         # Addition rows are built only over the groups of a component's
         # leading factors, at most once per (group, element), and never

@@ -50,6 +50,15 @@ class TestMultiplicity:
         with pytest.raises(ValueError):
             PrimeFamily(FixedExponent(0))
 
+    def test_cyclic_atom_refuses_bool_exponent(self):
+        # True == 1, but Z(2^True) would render as text parse cannot read
+        with pytest.raises(ValueError):
+            CyclicAtom(2, True)
+
+    def test_fixed_exponent_refuses_bool(self):
+        with pytest.raises(ValueError):
+            FixedExponent(True)
+
 
 class TestCanonicalize:
     def test_merges_equal_atoms(self):
@@ -241,6 +250,10 @@ class TestLocalShape:
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             LocalShape.make({0: 1})
+
+    def test_make_refuses_bool_exponent(self):
+        with pytest.raises(ValueError):
+            LocalShape.make({True: 1})
 
     def test_flags(self):
         assert LocalShape.make({1: 1}).is_semisimple
