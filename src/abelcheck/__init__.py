@@ -3,12 +3,13 @@ with an exhaustive finite-group oracle for cross-validation."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .characteristics import (
     CHAR_Q,
     CHAR_Z,
     INF,
     Characteristic,
-    is_homogeneous,
     localization_char,
 )
 from .deciders import (
@@ -64,10 +65,13 @@ from .groups import (
     canonicalize,
     direct_sum,
     group_of,
+    is_homogeneous,
     structural_predicates,
     torsion_free_rank,
 )
 from .parser import parse, render
 from .snf import smith_normal_form
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing from a submodule also binds the submodule's own name here;
+# the public names are the ones imported above, not the modules.
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -104,10 +104,6 @@ def divisors(n: int) -> list[int]:
 
 def partitions(n: int):
     """Yield the partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
-
     def rec(remaining, cap):
         if remaining == 0:
             yield ()

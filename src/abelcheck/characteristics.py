@@ -17,13 +17,9 @@ summands by a type representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Union
 
 from .arith import is_prime
-from .errors import NonTorsionFreeInput
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .groups import CanonicalGroup
 
 
 class _InfiniteHeight:
@@ -131,17 +127,3 @@ def localization_char(p: int) -> Characteristic:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return Characteristic(INF, {p: 0})
-
-
-def is_homogeneous(group: "CanonicalGroup") -> bool:
-    """Whether all rank-1 summands of a torsion-free group share a type.
-
-    Groups in the representable class are completely decomposable, so
-    the element-level condition is that the summands have equivalent
-    characteristics.  Canonical forms key their rational summands by
-    type representative, so that means at most one key.  Raises
-    NonTorsionFreeInput when the group has torsion.
-    """
-    if group.has_torsion():
-        raise NonTorsionFreeInput("homogeneity is defined for torsion-free groups only")
-    return len(group.rationals) <= 1

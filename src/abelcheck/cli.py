@@ -13,7 +13,8 @@ pipe early (``| head``), with no traceback; 2 parse error (``ParseError``
 or ``ValueError``: a bad expression, group string or matrix, the wrong
 number of oracle arguments, ``--csv`` on a command other than
 ``subgroups``, ``pure`` and ``summand`` or together with ``--json``,
-``--count`` < 0, ``--bound`` or ``--max-prime`` < 2); 3 bound exceeded
+oracle ``--bound`` < 1, crosscheck ``--count`` < 0, ``--bound`` or
+``--max-prime`` < 2); 3 bound exceeded
 (``BoundExceeded``); 4 invariant violation
 (``InternalConsistencyError``).  The commands raise and never print
 these; the one exit code a command returns itself is crosscheck's 4 for
@@ -33,6 +34,7 @@ import argparse
 import csv
 import os
 import random
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -219,6 +221,8 @@ def cmd_oracle(args) -> int:
     pair = command in ("rel-inj", "rel-pure-inj")
     if len(args.args) != 1 + pair:
         raise ValueError(f"{command} needs exactly {'two groups' if pair else 'one argument'}")
+    if args.bound < 1:
+        raise ValueError(f"--bound must be at least 1, got {args.bound}")
     if args.csv and (pair or command == "snf"):
         raise ValueError(f"--csv applies only to subgroups, pure and summand, not to {command}")
     if args.csv and args.json:
@@ -261,8 +265,13 @@ def cmd_oracle(args) -> int:
 def _parse_matrix(text: str) -> list[list[int]]:
     rows = []
     for chunk in text.split(";"):
+        entries = chunk.split(",")
+        # ASCII integers only: int() also reads other scripts' digits and
+        # "1_0" as 10, and it refuses more than 4300 digits
         try:
-            rows.append([int(x) for x in chunk.split(",")])
+            if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", x) for x in entries):
+                raise ValueError
+            rows.append([int(x) for x in entries])
         except ValueError:
             raise ValueError(f"cannot parse matrix row {chunk!r}")
     return rows  # smith_normal_form refuses a ragged one

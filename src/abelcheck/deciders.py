@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import primes_upto, smallest_prime_not_in
-from .characteristics import Characteristic, is_homogeneous
+from .characteristics import Characteristic
 from .groups import (
     OMEGA,
     CanonicalGroup,
@@ -22,6 +22,7 @@ from .groups import (
     GroupDescriptor,
     RationalAtom,
     canonicalize,
+    is_homogeneous,
     mult_to_json,
     torsion_free_rank,
 )
@@ -150,16 +151,14 @@ def _pure_split_citations(g: CanonicalGroup) -> tuple[str, ...]:
     cites = []
     has_torsion = g.has_torsion()
     has_tf = bool(g.rationals)
-    if has_torsion:
+    if has_torsion or not has_tf:  # the zero group cites the torsion fact alone
         cites.append(CIT_PS_TORSION)
-        if any(shape.prufer != 0 for _, shape in g.exceptions) or g.generic.prufer != 0:
-            cites.append(CIT_PS_PGROUP)
+    if any(shape.prufer != 0 for _, shape in g.exceptions) or g.generic.prufer != 0:
+        cites.append(CIT_PS_PGROUP)
     if has_tf:
         cites.append(CIT_PS_TF)
     if has_torsion and has_tf:
         cites.append(CIT_PS_MIXED)
-    if not cites:
-        cites.append(CIT_PS_TORSION)
     return tuple(cites)
 
 

@@ -50,7 +50,7 @@ from typing import Collection, Iterable, Mapping
 
 from .arith import divisors, factorize, partitions
 from .errors import BoundExceeded, IllDefinedHom, InternalConsistencyError, NotASubgroup, NotCoprime
-from .snf import smith_normal_form
+from .snf import diagonal, smith_normal_form
 
 DEFAULT_ORDER_BOUND = 512
 DEFAULT_HOM_SPACE_CAP = 200_000
@@ -546,7 +546,7 @@ def _invariant_presentation(h: Subgroup) -> tuple[list[Element], list[tuple[int,
     if not gens:
         return [], []
     _, s, v = smith_normal_form(_chain_walk(h)[1])
-    orders = [s[i][i] for i in range(len(gens))]
+    orders = diagonal(s)
     if not all(d > 0 for d in orders):
         raise InternalConsistencyError(f"finite subgroup {h!r} has relation invariants {orders}, "
                                        "not all positive")
@@ -562,7 +562,7 @@ def abstract_presentation(h: Subgroup) -> tuple[FiniteAbelianGroup, list[Element
     gens, slots = _invariant_presentation(h)
     split = sorted(((p, e, column) for s, column in slots for p, e in factorize(s).items()),
                    key=lambda part: part[:2])  # stable: equal prime powers keep slot order
-    abstract = FiniteAbelianGroup([p**e for p, e, _ in split])
+    abstract = FiniteAbelianGroup._from_factors(tuple(p**e for p, e, _ in split))
     images = [tuple(column[u] % (p**e) for p, e, column in split) for u in range(len(gens))]
     return abstract, images
 
@@ -600,8 +600,7 @@ def _extension_exists(g: FiniteAbelianGroup, gen_coords: list[Element],
             coeffs = [gen_coords[u][i] * scale[i] for i in range(r)]
             rows.append(coeffs + [k if l == u else 0 for l in range(t)])
         u_mat, s, _ = smith_normal_form(rows)
-        for i in range(t):
-            d = s[i][i]
+        for i, d in enumerate(diagonal(s)):
             if d != 1:
                 reduced = [x % d for x in u_mat[i]]
                 checks += [(j, reduced, d) for j, mj in enumerate(m.factors) if mj == k]
@@ -629,8 +628,7 @@ def quotient(g: FiniteAbelianGroup, h: Subgroup) -> FiniteAbelianGroup:
     r = g.rank
     rows = [[g.factors[i] if j == i else 0 for j in range(r)] for i in range(r)]
     rows += [list(e) for e in h.generating_set()]
-    _, s, _ = smith_normal_form(rows)
-    diag = [s[i][i] for i in range(r)]
+    diag = diagonal(smith_normal_form(rows)[1])
     if not all(d > 0 for d in diag):
         raise InternalConsistencyError(f"relation matrix of {g}/{h!r} has diagonal {diag}, "
                                        "not all positive")
@@ -641,7 +639,7 @@ def quotient(g: FiniteAbelianGroup, h: Subgroup) -> FiniteAbelianGroup:
 # Homomorphism extension, two ways.
 
 
-def _combo(m: FiniteAbelianGroup, coeffs: list[int], elements: list[Element]) -> Element:
+def _combo(m: FiniteAbelianGroup, coeffs: Iterable[int], elements: Iterable[Element]) -> Element:
     acc = m.zero()
     for a, w in zip(coeffs, elements):
         if a:
@@ -729,11 +727,10 @@ def hom_extends_bruteforce(f: Mapping[Element, Element], h: Subgroup,
     if hom_space_size(g, m) > DEFAULT_HOM_SPACE_CAP:
         raise BoundExceeded(f"hom space larger than cap {DEFAULT_HOM_SPACE_CAP}")
     candidates = [_annihilator_elements(m, mi) for mi in g.factors]
-    gen_rows = [list(e) for e in gens]
     for assignment in product(*candidates):
         ok = True
-        for row, target in zip(gen_rows, images):
-            if _combo(m, row, list(assignment)) != target:
+        for row, target in zip(gens, images):
+            if _combo(m, row, assignment) != target:
                 ok = False
                 break
         if ok:

@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Union
 
 from .arith import is_prime
 from .characteristics import Characteristic
+from .errors import NonTorsionFreeInput
 
 
 class _Omega:
@@ -317,11 +318,6 @@ class CanonicalGroup:
         exc = {p: shape.reduced() for p, shape in self.exceptions}
         return CanonicalGroup._build(rat, self.generic.reduced(), exc)
 
-    def __str__(self) -> str:
-        from .parser import render
-
-        return render(self)
-
 
 ZERO_GROUP = CanonicalGroup()
 
@@ -415,6 +411,20 @@ def direct_sum(*groups: CanonicalGroup) -> CanonicalGroup:
 
 def torsion_free_rank(g: CanonicalGroup) -> Multiplicity:
     return sum(m for _, m in g.rationals)
+
+
+def is_homogeneous(group: CanonicalGroup) -> bool:
+    """Whether all rank-1 summands of a torsion-free group share a type.
+
+    Groups in the representable class are completely decomposable, so
+    the element-level condition is that the summands have equivalent
+    characteristics.  Canonical forms key their rational summands by
+    type representative, so that means at most one key.  Raises
+    NonTorsionFreeInput when the group has torsion.
+    """
+    if group.has_torsion():
+        raise NonTorsionFreeInput("homogeneity is defined for torsion-free groups only")
+    return len(group.rationals) <= 1
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from abelcheck.arith import MILLER_RABIN_LIMIT, factorize, is_prime, primes_upto
+from abelcheck.arith import MILLER_RABIN_LIMIT, divisors, factorize, is_prime, partitions, primes_upto
 
 
 def trial_division(n: int) -> bool:
@@ -80,3 +80,19 @@ def test_factorize_stops_at_a_prime_cofactor():
     assert factorize(1_000_000_000_000_037) == {1_000_000_000_000_037: 1}
     assert factorize(2**5 * 999_999_999_999_999_989) == {2: 5, 999_999_999_999_999_989: 1}
     assert factorize(2**20000) == {2: 20000}
+
+
+@pytest.mark.parametrize("function", [factorize, divisors])
+def test_refuses_zero(function):
+    with pytest.raises(ValueError):
+        function(0)
+
+
+def test_no_primes_below_two():
+    assert primes_upto(1) == primes_upto(0) == []
+
+
+def test_partition_counts():
+    # p(0), ..., p(10); the empty partition is the one partition of 0
+    assert list(partitions(0)) == [()]
+    assert [sum(1 for _ in partitions(n)) for n in range(11)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

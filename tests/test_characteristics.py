@@ -9,11 +9,10 @@ from abelcheck.characteristics import (
     CHAR_Z,
     INF,
     Characteristic,
-    is_homogeneous,
     localization_char,
 )
 from abelcheck.errors import NonTorsionFreeInput, ParseError
-from abelcheck.groups import CyclicAtom, RationalAtom, group_of
+from abelcheck.groups import CyclicAtom, RationalAtom, group_of, is_homogeneous
 from abelcheck.parser import parse
 
 from conftest import random_characteristic
@@ -47,6 +46,10 @@ class TestconstructionAndConstants:
     def test_exception_equal_to_default_is_dropped(self):
         assert Characteristic(0, {2: 0}) == CHAR_Z
         assert Characteristic(INF, {5: INF}) == CHAR_Q
+
+    def test_localization_needs_a_prime(self):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            localization_char(4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -162,6 +165,10 @@ class TestTextForm:
         assert CHAR_Z.render() == "0"
         assert CHAR_Q.render() == "inf"
         assert Characteristic(0, {2: 3, 5: INF}).render() == "0; 2:3, 5:inf"
+
+    def test_str_is_render_and_inf_reprs_as_inf(self):
+        assert str(Characteristic(0, {2: 3, 5: INF})) == "0; 2:3, 5:inf"
+        assert repr(INF) == "inf"
 
     def test_parse_round_trip(self):
         rng = random.Random(5)

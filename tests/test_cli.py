@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from abelcheck import cli, finite
 from abelcheck.arith import factorize
 from abelcheck.cli import main
-from abelcheck.errors import BoundExceeded, InternalConsistencyError
+from abelcheck.errors import AbelcheckError, BoundExceeded, InternalConsistencyError
 from abelcheck.snf import smith_normal_form
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -65,6 +65,15 @@ EXIT_CODE_CASES = {
     "oracle-bound-m-pure": (["oracle", "rel-pure-inj", "Z1024", "Z2"], None, 3,
                             "bound exceeded: |G| = 1024 exceeds the bound 512"),
     "oracle-ragged-matrix": (["oracle", "snf", "1,2;3"], None, 2, "parse error: ragged matrix"),
+    "oracle-matrix-letter": (["oracle", "snf", "1,a"], None, 2, "parse error: cannot parse matrix row '1,a'"),
+    # int() reads both as numbers; the matrix grammar takes ASCII digits only
+    "oracle-matrix-unicode-digit": (["oracle", "snf", "\u0663,1;2,4"], None, 2,
+                                    "parse error: cannot parse matrix row '\u0663,1'"),
+    "oracle-matrix-underscore": (["oracle", "snf", "1_0,1;2,4"], None, 2,
+                                 "parse error: cannot parse matrix row '1_0,1'"),
+    "oracle-empty-factor": (["oracle", "subgroups", "Z2 x"], None, 2, "parse error: empty factor in 'Z2 x'"),
+    "oracle-bound-below-1": (["oracle", "subgroups", "Z2", "--bound", "-5"], None, 2,
+                             "parse error: --bound must be at least 1, got -5"),
     "oracle-z0": (["oracle", "subgroups", "Z0"], None, 2,
                   "parse error: cyclic order must be a positive integer, got 0"),
     "oracle-z0-power-0": (["oracle", "subgroups", "Z(0^0)"], None, 2,
@@ -246,6 +255,8 @@ class TestDumps:
     @example(())
     @example({"a": {}, "b": [[], ()], "": [{}]})
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, -2**100, True, None])
+    @example("top-level string")
+    @example(7)
     def test_matches_stdlib_indent_2(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
 
@@ -585,3 +596,84 @@ class TestCrosscheck:
         with pytest.raises(RuntimeError, match="decider crashed"):
             main(["crosscheck", "--seed", "1", "--count", "100", "--json"])
         assert len(calls) == 2
+
+    def test_draws_past_the_hom_cap_are_redrawn(self, capsys, monkeypatch):
+        # Suite 3 draws again when Hom(g, m) is above the cap, so every
+        # instance it decides is within it, and it still decides --count.
+        cap = 16
+        sizes, decided = [], []
+        real_size, real_decide = cli.hom_space_size, finite.hom_extends
+
+        def size(g, m):
+            sizes.append(real_size(g, m))
+            return sizes[-1]
+
+        def decide(f, h, g, m):
+            decided.append(real_size(g, m))
+            return real_decide(f, h, g, m)
+        monkeypatch.setattr(cli, "CROSSCHECK_HOM_CAP", cap)
+        monkeypatch.setattr(cli, "hom_space_size", size)
+        monkeypatch.setattr(finite, "hom_extends", decide)
+        code, env, _ = run_json(capsys, "crosscheck", "--seed", "1", "--count", "20", "--json")
+        assert code == 0
+        checks = {c["name"]: c for c in env["result"]["checks"]}
+        assert checks["hom_extends_dual"]["instances"] == 20 == len(decided)
+        assert max(decided) <= cap
+        assert any(s > cap for s in sizes)
+
+    def test_relative_injectivity_failures_are_recorded(self, capsys, monkeypatch):
+        real = finite.is_relatively_injective
+        monkeypatch.setattr(finite, "is_relatively_injective", lambda *a, **k: not real(*a, **k))
+        code, env, err = run_json(capsys, "crosscheck", "--seed", "1", "--count", "3", "--json")
+        assert code == 4
+        table = {c["name"]: c for c in env["result"]["checks"]}["relative_injectivity_table"]
+        assert table["failures"] == table["instances"] == 27 == env["result"]["total_failures"]
+        dumped = json.loads(err)["counterexamples"]
+        assert len(table["counterexamples"]) == 3 and len(dumped) == 10
+        for found in table["counterexamples"] + dumped:
+            assert set(found) == {"p", "m_exponent", "n_exponent", "verdict"}
+            assert found["verdict"] == (found["m_exponent"] < found["n_exponent"])
+
+    def test_shrinker_drops_generators_while_the_deciders_disagree(self, capsys, monkeypatch):
+        # Seed 2's second sampled hom has two keys.  With one decider
+        # negated every trim still disagrees, so one key is left.
+        sampled = []
+        real_sample, real_decide = finite.sample_homomorphism, finite.hom_extends
+
+        def sample(*args, **kwargs):
+            sampled.append(real_sample(*args, **kwargs))
+            return sampled[-1]
+        monkeypatch.setattr(finite, "sample_homomorphism", sample)
+        monkeypatch.setattr(finite, "hom_extends", lambda *a, **k: not real_decide(*a, **k))
+        code, env, _ = run_json(capsys, "crosscheck", "--seed", "2", "--count", "3", "--json")
+        assert code == 4
+        found = {c["name"]: c for c in env["result"]["checks"]}["hom_extends_dual"]["counterexamples"]
+        assert [len(f) for f in sampled] == [0, 2, 0]
+        assert [len(c["subgroup_generators"]) for c in found] == [0, 1, 0]
+        (key,), (image,) = found[1]["subgroup_generators"], found[1]["images"]
+        assert sampled[1][tuple(key)] == tuple(image)
+
+    def test_shrinker_skips_instances_the_deciders_refuse(self, capsys, monkeypatch):
+        # Every trimmed instance is refused, so the shrinker tries each
+        # once and reports the sampled hom as it was drawn.
+        sampled, refused = [], []
+        real_sample, real_decide = finite.sample_homomorphism, finite.hom_extends
+
+        def sample(*args, **kwargs):
+            sampled.append(real_sample(*args, **kwargs))
+            return sampled[-1]
+
+        def decide(f, *args, **kwargs):
+            if not any(f is drawn for drawn in sampled):
+                refused.append(f)
+                raise AbelcheckError("trimmed instance refused")
+            return not real_decide(f, *args, **kwargs)
+        monkeypatch.setattr(finite, "sample_homomorphism", sample)
+        monkeypatch.setattr(finite, "hom_extends", decide)
+        code, env, _ = run_json(capsys, "crosscheck", "--seed", "2", "--count", "3", "--json")
+        assert code == 4
+        found = {c["name"]: c for c in env["result"]["checks"]}["hom_extends_dual"]["counterexamples"]
+        assert [len(f) for f in sampled] == [0, 2, 0]
+        assert len(refused) == 2
+        assert found[1]["subgroup_generators"] == [list(k) for k in sorted(sampled[1])]
+        assert found[1]["images"] == [list(sampled[1][k]) for k in sorted(sampled[1])]

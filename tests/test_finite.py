@@ -340,6 +340,14 @@ class TestGroupBasics:
             with pytest.raises(ValueError, match="cyclic order must be a positive integer, got 0"):
                 Z.from_string(text)
 
+    def test_repr_and_foreign_comparisons(self):
+        g = Z([6, 4])
+        assert repr(g) == "FiniteAbelianGroup([2, 4, 3])"
+        # equality with another type is left to the other operand
+        assert g.__eq__((2, 4, 3)) is NotImplemented and g != (2, 4, 3)
+        trivial = Subgroup.trivial(g)
+        assert trivial.__eq__(1) is NotImplemented and trivial != 1
+
     def test_str_round_trip(self):
         for g in (Z([4, 2]), Z([]), Z([8, 9, 5])):
             assert Z.from_string(str(g)) == g
@@ -1325,6 +1333,10 @@ class TestIsomorphismClasses:
         assert len(isomorphism_classes_of_order(16)) == 5
         assert len(isomorphism_classes_of_order(36)) == 4
         assert len(isomorphism_classes_of_order(128)) == 15
+
+    def test_order_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            isomorphism_classes_of_order(0)
 
     def test_distinct_and_right_order(self):
         classes = isomorphism_classes_upto(24)

@@ -9,6 +9,7 @@ from abelcheck.groups import (
     OMEGA,
     CyclicAtom,
     FixedExponent,
+    GroupDescriptor,
     LocalShape,
     PrimeFamily,
     PruferAtom,
@@ -17,6 +18,7 @@ from abelcheck.groups import (
     UnboundedTower,
     ZERO_GROUP,
     canonicalize,
+    check_multiplicity,
     direct_sum,
     group_of,
     structural_predicates,
@@ -58,6 +60,19 @@ class TestMultiplicity:
     def test_fixed_exponent_refuses_bool(self):
         with pytest.raises(ValueError):
             FixedExponent(True)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: check_multiplicity(0), "multiplicity must be a positive integer or OMEGA, got 0"),
+        (lambda: PrimeFamily(CyclicAtom(2, 1)), "unknown family template"),
+        (lambda: GroupDescriptor([(FixedExponent(1), 1)]), "unknown descriptor part"),
+        (lambda: canonicalize(42), "cannot canonicalize 42"),
+    ], ids=["multiplicity-0", "family-template", "descriptor-part", "canonicalize-int"])
+    def test_refuses_values_outside_the_class(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_omega_repr(self):
+        assert repr(OMEGA) == "omega"
 
 
 class TestCanonicalize:

@@ -109,6 +109,16 @@ class TestParseErrors:
             parse("Z + Z(4)")
         assert exc.value.position == 6
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("R(0;2:1;2:3)", "conflicting heights for prime 2", 8),
+        ("Z(1234567890123456789)", "number literal too long", 2),
+        (42, "input must be a string", 0),
+    ])
+    def test_refusals_name_their_position(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.message, exc.value.position) == (message, position)
+
     def test_fuzz_never_crashes(self):
         rng = random.Random(2023)
         for _ in range(20_000):

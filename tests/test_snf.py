@@ -322,6 +322,10 @@ class TestKernelAndSolvability:
             b = [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)]
             assert linear_system_solvable(a, b)
 
+    def test_right_hand_side_of_wrong_length(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            linear_system_solvable([[1, 0], [0, 1]], [1])
+
     def test_unsolvable_examples(self):
         assert not linear_system_solvable([[2]], [1])
         assert not linear_system_solvable([[2, 0], [0, 3]], [1, 1])

@@ -5,7 +5,9 @@ import io
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
+import abelcheck
 from abelcheck import cli
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "abelcheck"
@@ -92,26 +94,51 @@ def test_no_unused_imports():
     assert not found, "unused imports in the library: " + ", ".join(found)
 
 
-def _import_words(tree):
-    """Every dotted part of every module and name that the import
-    statements of a module mention, anywhere in it (inside functions
-    too): ``from .groups import OMEGA`` gives "groups" and "OMEGA"."""
+# Each half of the library is a chain: a module imports only modules
+# before it in its chain, anywhere in its body (inside functions and
+# ``if TYPE_CHECKING:`` blocks too).  The finite oracle checks the
+# symbolic deciders, so the two halves share only ``errors`` and
+# ``arith``, and only the modules in BOTH_HALVES import from both.
+CHAINS = {
+    "symbolic": ("errors", "arith", "characteristics", "groups", "parser", "deciders"),
+    "oracle": ("errors", "arith", "snf", "finite"),
+}
+BOTH_HALVES = {"cli", "__init__"}
+
+
+def _library_imports(tree):
+    """The library modules that the import statements of a module name,
+    anywhere in it: ``from .groups import OMEGA``, ``from . import
+    groups`` and ``import abelcheck.groups`` all give "groups"."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]:
-                yield from name.split(".")
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "abelcheck." if node.level else ""
+            module = f"{package}{node.module}." if node.module else package
+            dotted = [module + alias.name for alias in node.names]
+        else:
+            continue
+        yield from (name.split(".")[1] for name in dotted if name.startswith("abelcheck."))
 
 
-def test_finite_oracle_imports_nothing_from_the_symbolic_layer():
-    # The oracle checks the deciders, so it shares no code or type with
-    # them: finite and what it builds on read only each other.
-    symbolic = {"characteristics", "groups", "parser", "deciders", "cli"}
-    found = []
-    for name in ("finite", "snf", "arith", "errors"):
-        path = SOURCE / f"{name}.py"
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{name} imports {word}" for word in _import_words(tree) if word in symbolic]
-    assert not found, "the finite oracle imports the symbolic layer: " + ", ".join(found)
+def test_each_half_imports_only_down_its_chain():
+    modules = {path.stem for path in SOURCE.glob("*.py")}
+    unplaced = modules - set().union(*CHAINS.values()) - BOTH_HALVES
+    assert not unplaced, f"library modules in no chain: {sorted(unplaced)}"
+    found = set()
+    for chain in CHAINS.values():
+        for i, name in enumerate(chain):
+            path = SOURCE / f"{name}.py"
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found.update(f"{name} imports {dep}" for dep in _library_imports(tree) if dep not in chain[:i])
+    assert not found, "imports against the chains: " + ", ".join(sorted(found))
+
+
+def test_no_public_name_is_a_module():
+    # ``from abelcheck import *`` binds the public names, not the submodules.
+    modules = [name for name in abelcheck.__all__ if isinstance(getattr(abelcheck, name), ModuleType)]
+    assert not modules, f"modules in abelcheck.__all__: {modules}"
 
 
 def test_readme_python_blocks_run():
