@@ -44,6 +44,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> int:
+    """The one prime rule of the library's constructors: ``p`` itself when
+    it is an int (not a bool) and prime, else ValueError."""
+    if type(p) is int and is_prime(p):
+        return p
+    raise ValueError(f"{p!r} is not prime")
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes p <= limit, ascending."""
     if limit < 2:

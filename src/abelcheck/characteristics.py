@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .arith import is_prime
+from .arith import check_prime
 
 
 class _InfiniteHeight:
@@ -45,7 +45,7 @@ Height = Union[int, _InfiniteHeight]
 def _check_height(h: Height) -> Height:
     if h is INF:
         return h
-    if isinstance(h, int) and not isinstance(h, bool) and h >= 0:
+    if type(h) is int and h >= 0:
         return h
     raise ValueError(f"height must be a non-negative integer or INF, got {h!r}")
 
@@ -72,13 +72,12 @@ class Characteristic:
     exceptions: tuple[tuple[int, Height], ...] = ()
 
     def __init__(self, default: Height, exceptions: Mapping[int, Height] = {}) -> None:
-        if default is not INF and default != 0:
+        if _check_height(default) not in (0, INF):
             raise ValueError("characteristic default must be 0 or INF")
         for p, h in exceptions.items():
-            if not is_prime(p):
-                raise ValueError(f"exception index {p} is not prime")
+            check_prime(p)
             _check_height(h)
-        cleaned = sorted((p, h) for p, h in exceptions.items() if not (h is default or h == default))
+        cleaned = sorted((p, h) for p, h in exceptions.items() if h != default)
         object.__setattr__(self, "default", default)
         object.__setattr__(self, "exceptions", tuple(cleaned))
 
@@ -124,6 +123,4 @@ CHAR_Q = Characteristic(INF)
 
 
 def localization_char(p: int) -> Characteristic:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return Characteristic(INF, {p: 0})
+    return Characteristic(INF, {check_prime(p): 0})

@@ -38,7 +38,7 @@ import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
-from math import inf, prod
+from math import prod
 
 from . import __version__, finite
 from .deciders import is_poor, is_pure_split, pi_poor_necessary
@@ -68,9 +68,9 @@ def _envelope(command: str, raw_input: str, result: dict) -> dict:
 
 def _write_json(obj, out: list[str], indent: str) -> None:
     """Append the pieces of ``obj``'s JSON text to ``out``; ``indent`` is
-    the indentation of the line ``obj`` starts on.  Container items that
-    are strings, booleans, None or ints are written in place, without a
-    call."""
+    the indentation of the line ``obj`` starts on.  ``obj`` is a dict or a
+    list; items that are strings, booleans, None or ints are written in
+    place, without a call, and anything else raises TypeError."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -104,6 +104,10 @@ def _write_json(obj, out: list[str], indent: str) -> None:
             cls = type(value)
             if cls is str:
                 out.append(head + _quote(value))
+            elif cls is bool:
+                out.append(head + ("true" if value else "false"))
+            elif value is None:
+                out.append(head + "null")
             elif cls is int:
                 out.append(head + int.__repr__(value))
             else:
@@ -111,32 +115,14 @@ def _write_json(obj, out: list[str], indent: str) -> None:
                 _write_json(value, out, inner)
             head = comma
         out.append("\n" + indent + "]")
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if obj != obj:
-            out.append("NaN")
-        elif obj == inf:
-            out.append("Infinity")
-        elif obj == -inf:
-            out.append("-Infinity")
-        else:
-            out.append(float.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
-    """The stdlib's ``json.dumps`` at ``indent=2``, byte for byte, for
-    dicts with str keys, lists, tuples, str, numbers, booleans and None.
+    """The stdlib's ``json.dumps`` at ``indent=2``, byte for byte, for the
+    documents the CLI writes: a dict or a list at the top, dicts with str
+    keys, lists and tuples inside, and str, int, bool and None leaves.
 
     The stdlib's C encoder cannot indent, so ``indent=2`` runs its
     pure-Python generator encoder; this writer quotes strings with the C
@@ -264,16 +250,13 @@ def cmd_oracle(args) -> int:
 
 def _parse_matrix(text: str) -> list[list[int]]:
     rows = []
+    start = 0  # of chunk in text
     for chunk in text.split(";"):
         entries = chunk.split(",")
-        # ASCII integers only: int() also reads other scripts' digits and
-        # "1_0" as 10, and it refuses more than 4300 digits
-        try:
-            if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", x) for x in entries):
-                raise ValueError
-            rows.append([int(x) for x in entries])
-        except ValueError:
-            raise ValueError(f"cannot parse matrix row {chunk!r}")
+        if not all(re.fullmatch(rf"\s*[+-]?{finite.LITERAL}\s*", x) for x in entries):
+            raise ValueError(f"cannot parse matrix row {finite.excerpt(chunk, start)}")
+        rows.append([int(x) for x in entries])
+        start += len(chunk) + 1
     return rows  # smith_normal_form refuses a ragged one
 
 

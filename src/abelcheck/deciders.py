@@ -224,7 +224,7 @@ def witness_truncation(max_prime: int, max_exponent: int,
     p <= max_prime, n <= max_exponent, plus countably many copies of
     each listed rank-1 group; witness_truncation(2, 1) is Z(2^1)^omega.
     """
-    if max_prime < 1 or max_exponent < 1:
+    if type(max_prime) is not int or type(max_exponent) is not int or max_prime < 1 or max_exponent < 1:
         raise ValueError("max_prime and max_exponent must be >= 1")
     parts: list[tuple] = []
     for p in primes_upto(max_prime):
@@ -237,7 +237,7 @@ def witness_truncation(max_prime: int, max_exponent: int,
 
 def witness_truncation_without_unit_layer(max_prime: int, max_exponent: int) -> CanonicalGroup:
     """Same truncation with every exponent-1 layer removed."""
-    if max_prime < 1 or max_exponent < 2:
+    if type(max_prime) is not int or type(max_exponent) is not int or max_prime < 1 or max_exponent < 2:
         raise ValueError("need max_exponent >= 2 to drop the unit layer")
     parts = [(CyclicAtom(p, n), OMEGA)
              for p in primes_upto(max_prime)

@@ -54,8 +54,21 @@ from .snf import diagonal, smith_normal_form
 
 DEFAULT_ORDER_BOUND = 512
 DEFAULT_HOM_SPACE_CAP = 200_000
+# A number literal of the oracle's inputs: ASCII digits only (int() also
+# reads other scripts' digits and "1_0" as 10), and no more of them than
+# int()'s default limit for decimal text.
+LITERAL = "[0-9]{1,4300}"
 
 Element = tuple[int, ...]
+
+
+def excerpt(text: str, start: int = 0) -> str:
+    """How a refusal names ``text``, which starts at ``start`` in the input:
+    quoted when it has at most 40 characters, and otherwise by its length
+    and position, so that a refusal of a long input stays one short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"<{len(text)} characters at position {start}>"
 
 
 class FiniteAbelianGroup:
@@ -121,16 +134,18 @@ class FiniteAbelianGroup:
     def from_string(cls, text: str) -> "FiniteAbelianGroup":
         """Parse "Z4 x Z2", "Z(2^2) x Z(2)", "Z1" in ASCII digits; composites factor."""
         orders = []
+        start = 0  # of raw in text
         for raw in text.split("x"):
             token = raw.strip()
             if not token:
-                raise ValueError(f"empty factor in {text!r}")
-            m = re.fullmatch(r"[Zz](?:([0-9]+)|\(([0-9]+)(?:\^([0-9]+))?\))", token)
+                raise ValueError(f"empty factor in {excerpt(text)}")
+            m = re.fullmatch(rf"[Zz](?:({LITERAL})|\(({LITERAL})(?:\^({LITERAL}))?\))", token)
             if not m:
-                raise ValueError(f"cannot parse factor {token!r}")
+                raise ValueError(f"cannot parse factor {excerpt(token, start + raw.index(token))}")
             digits, base, exponent = m.groups()
             q = int(digits or base)
             orders.append(q and q ** int(exponent or 1))  # Z(0^0) is order 0, not 0**0 = 1
+            start += len(raw) + 1
         return cls(orders)  # which refuses order 0
 
     # -- sizes --------------------------------------------------------------
@@ -908,7 +923,7 @@ def localization_hom_image(m: FiniteAbelianGroup, a: Element, b: int, c: int) ->
 
 def isomorphism_classes_of_order(n: int) -> list[FiniteAbelianGroup]:
     """All abelian groups of order n, one per isomorphism class."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("order must be >= 1")
     per_prime = [[[p**part for part in parts] for parts in partitions(e)] for p, e in sorted(factorize(n).items())]
     return [FiniteAbelianGroup([m for chunk in combo for m in chunk]) for combo in product(*per_prime)]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .arith import is_prime
+from .arith import check_prime
 from .characteristics import Characteristic
 from .errors import NonTorsionFreeInput
 
@@ -69,7 +69,7 @@ Multiplicity = Union[int, _Omega]
 def check_multiplicity(m: Multiplicity) -> Multiplicity:
     if m is OMEGA:
         return m
-    if isinstance(m, int) and not isinstance(m, bool) and m >= 1:
+    if type(m) is int and m >= 1:
         return m
     raise ValueError(f"multiplicity must be a positive integer or OMEGA, got {m!r}")
 
@@ -82,12 +82,6 @@ def mult_to_json(m: Multiplicity):
 # Building blocks, as they appear in descriptors.
 
 
-def _check_prime(p: int) -> int:
-    if not (isinstance(p, int) and is_prime(p)):
-        raise ValueError(f"{p!r} is not a prime")
-    return p
-
-
 @dataclass(frozen=True)
 class CyclicAtom:
     """Cyclic group of order p**n."""
@@ -96,7 +90,7 @@ class CyclicAtom:
     n: int
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
         if not (type(self.n) is int and self.n >= 1):
             raise ValueError(f"cyclic exponent must be >= 1, got {self.n!r}")
 
@@ -108,7 +102,7 @@ class PruferAtom:
     p: int
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ class TowerAtom:
     p: int
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,7 @@ class PrimeFamily:
         if not isinstance(template, (FixedExponent, PruferAll, UnboundedTower)):
             raise ValueError(f"unknown family template {template!r}")
         check_multiplicity(multiplicity)
-        banned = tuple(sorted({_check_prime(p) for p in excluded}))
+        banned = tuple(sorted({check_prime(p) for p in excluded}))
         object.__setattr__(self, "template", template)
         object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "excluded", banned)
@@ -284,7 +278,7 @@ class CanonicalGroup:
 
     def local_at(self, p: int) -> LocalShape:
         """The p-primary shape effective at prime p."""
-        _check_prime(p)
+        check_prime(p)
         for q, shape in self.exceptions:
             if q == p:
                 return shape

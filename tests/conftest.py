@@ -1,8 +1,11 @@
-"""Shared helpers: seeded random generators for descriptors and groups."""
+"""Shared helpers: seeded random generators for descriptors and groups,
+and a finite stand-in for a local shape."""
 
+import math
 import random
 
 from abelcheck.characteristics import INF, Characteristic
+from abelcheck.finite import FiniteAbelianGroup
 from abelcheck.groups import (
     OMEGA,
     CanonicalGroup,
@@ -88,3 +91,25 @@ def random_divisible_group(rng: random.Random, max_parts: int = 3) -> CanonicalG
                                       rng.sample(SMALL_PRIMES, rng.randint(0, 2))),
                           random_multiplicity(rng)))
     return canonicalize(GroupDescriptor(parts))
+
+
+def truncated_local_part(shape, p):
+    """A finite stand-in for a p-primary shape that keeps its poor verdict.
+
+    Cyclic exponents are capped at 2, a tower becomes Z(p) + Z(p^2) and a
+    quasicyclic part Z(p^2), each times its multiplicity.  Copies are then
+    cut so that |G_p| <= max(512, p^3), keeping one of each exponent first.
+    """
+    copies = {1: 0, 2: 0}
+    for e, m in [(min(n, 2), m) for n, m in shape.cyclic] + [(1, shape.tower), (2, shape.tower),
+                                                               (2, shape.prufer)]:
+        if m != 0:
+            copies[e] = math.inf if m is OMEGA else copies[e] + m
+    limit = max(512, p**3)
+    factors = [p**e for e in (1, 2) if copies[e]]
+    for e in (1, 2):
+        extra = copies[e] - 1
+        while extra > 0 and math.prod(factors) * p**e <= limit:
+            factors.append(p**e)
+            extra -= 1
+    return FiniteAbelianGroup(factors)

@@ -5,7 +5,6 @@ lines; the asserts carry the same conditions either way.
 """
 
 import json
-import math
 import random
 import time
 
@@ -26,10 +25,10 @@ from abelcheck.finite import (
     isomorphism_classes_upto,
     localization_hom_image,
 )
-from abelcheck.groups import OMEGA, CyclicAtom, FixedExponent, PrimeFamily, canonicalize, group_of
+from abelcheck.groups import CyclicAtom, FixedExponent, PrimeFamily, canonicalize, group_of
 from abelcheck.parser import parse, render
 
-from conftest import random_group
+from conftest import random_group, truncated_local_part
 
 ALL_PRIMES_Z_P = group_of(PrimeFamily(FixedExponent(1)))
 
@@ -60,28 +59,6 @@ def test_criterion_1_poor_witness_reproduction(capsys):
     announce(1, f"poor witness true, exclusion of 2 flips to false naming p=2 ({elapsed * 1000:.0f} ms)")
 
 
-def _truncated_local_part(shape, p):
-    """A finite stand-in for a p-primary shape that keeps its poor verdict.
-
-    Cyclic exponents are capped at 2, a tower becomes Z(p) + Z(p^2) and a
-    quasicyclic part Z(p^2), each times its multiplicity.  Copies are then
-    cut so that |G_p| <= max(512, p^3), keeping one of each exponent first.
-    """
-    copies = {1: 0, 2: 0}
-    for e, m in [(min(n, 2), m) for n, m in shape.cyclic] + [(1, shape.tower), (2, shape.tower),
-                                                               (2, shape.prufer)]:
-        if m != 0:
-            copies[e] = math.inf if m is OMEGA else copies[e] + m
-    limit = max(512, p**3)
-    factors = [p**e for e in (1, 2) if copies[e]]
-    for e in (1, 2):
-        extra = copies[e] - 1
-        while extra > 0 and math.prod(factors) * p**e <= limit:
-            factors.append(p**e)
-            extra -= 1
-    return FiniteAbelianGroup(factors)
-
-
 def test_criterion_2_poor_equivalences_agree():
     # The poor row at p passes iff G_p has an order-p cyclic summand.  On the
     # oracle's side that is "G_p is not Z(p^2)-injective": Z(p^k) is
@@ -96,7 +73,7 @@ def test_criterion_2_poor_equivalences_agree():
         generic = smallest_prime_not_in(g.exception_primes())
         checks = [(p, row) for (p, _), row in zip(g.exceptions, rows)] + [(generic, rows[-1])]
         for p, row in checks:
-            local = _truncated_local_part(g.local_at(p), p)
+            local = truncated_local_part(g.local_at(p), p)
             oracle = not is_relatively_injective(local, FiniteAbelianGroup([p**2]))
             assert row.passed == oracle, (render(g), p, local)
             verdicts[oracle] += 1

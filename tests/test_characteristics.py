@@ -59,6 +59,25 @@ class TestconstructionAndConstants:
         with pytest.raises(ValueError):
             Characteristic(0, {2: -1})
 
+    @pytest.mark.parametrize("build", [
+        lambda: Characteristic(0, {2.0: INF}),
+        lambda: Characteristic(False, {2: INF}),
+        lambda: Characteristic(0.0),
+        lambda: Characteristic(0, {"a": 1}),
+        lambda: localization_char(3.0),
+    ], ids=["float-prime", "bool-default", "float-default", "str-prime", "float-localization"])
+    def test_refuses_what_would_render_unparsable(self, build):
+        # Each of these would be == to a valid characteristic but render as
+        # text that parse refuses, such as R(0;2.0:inf) or Q_(3.0).
+        with pytest.raises(ValueError):
+            build()
+
+    def test_prime_refusals_read_alike(self):
+        for build in (lambda: localization_char(4), lambda: CyclicAtom(4, 1),
+                      lambda: Characteristic(0, {4: 1})):
+            with pytest.raises(ValueError, match="^4 is not prime$"):
+                build()
+
     def test_height_lookup(self):
         chi = Characteristic(0, {2: 3, 5: INF})
         heights = dict(chi.exceptions)

@@ -176,6 +176,13 @@ class TestWitnessTruncation:
         with pytest.raises(ValueError):
             witness_truncation_without_unit_layer(2, 1)
 
+    def test_bool_bounds_are_refused(self):
+        # True == 1, but an int argument is an int, not a bool
+        with pytest.raises(ValueError, match="must be >= 1"):
+            witness_truncation(True, 1)
+        with pytest.raises(ValueError, match="max_exponent >= 2"):
+            witness_truncation_without_unit_layer(True, 2)
+
     def test_unit_layer_removal_kills_poorness(self):
         full = witness_truncation(5, 3)
         trimmed = witness_truncation_without_unit_layer(5, 3)

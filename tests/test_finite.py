@@ -1338,6 +1338,10 @@ class TestIsomorphismClasses:
         with pytest.raises(ValueError, match="order must be >= 1"):
             isomorphism_classes_of_order(0)
 
+    def test_bool_order_is_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            isomorphism_classes_of_order(True)
+
     def test_distinct_and_right_order(self):
         classes = isomorphism_classes_upto(24)
         assert len(classes) == len(set(classes))

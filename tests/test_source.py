@@ -135,6 +135,25 @@ def test_each_half_imports_only_down_its_chain():
     assert not found, "imports against the chains: " + ", ".join(sorted(found))
 
 
+def test_each_input_rule_is_stated_once():
+    # Constructors take primes through ``arith.check_prime``, so only
+    # ``arith`` and the parser (whose refusals carry a position) read
+    # ``is_prime``; the symbolic half tests integers by ``type(x) is int``,
+    # and only ``snf`` (which takes int subclasses other than bool) tests
+    # for bool by ``isinstance``.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and path.stem not in ("arith", "parser"):
+                if any(alias.name == "is_prime" for alias in node.names):
+                    found.append(f"{path.stem}:{node.lineno} imports is_prime")
+            elif (isinstance(node, ast.Call) and path.stem != "snf"
+                  and ast.unparse(node.func) == "isinstance" and len(node.args) == 2
+                  and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
+                found.append(f"{path.stem}:{node.lineno} calls isinstance(..., bool)")
+    assert not found, "input rules stated twice: " + ", ".join(found)
+
+
 def test_no_public_name_is_a_module():
     # ``from abelcheck import *`` binds the public names, not the submodules.
     modules = [name for name in abelcheck.__all__ if isinstance(getattr(abelcheck, name), ModuleType)]
