@@ -111,9 +111,6 @@ class Characteristic:
         tail = ", ".join(f"{p}:{height_to_text(h)}" for p, h in self.exceptions)
         return f"{head}; {tail}"
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 # Named characteristics: the integers, the full rationals, and the
 # localization of the integers at a single prime p (denominators coprime

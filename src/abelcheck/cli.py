@@ -42,7 +42,7 @@ from math import prod
 
 from . import __version__, finite
 from .deciders import is_poor, is_pure_split, pi_poor_necessary
-from .errors import AbelcheckError, BoundExceeded, InternalConsistencyError, ParseError
+from .errors import AbelcheckError, BoundExceeded, InternalConsistencyError, ParseError, excerpt
 from .finite import DEFAULT_ORDER_BOUND, FiniteAbelianGroup, Subgroup, hom_space_size
 from .groups import canonicalize, structural_predicates
 from .parser import parse, render
@@ -254,7 +254,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
     for chunk in text.split(";"):
         entries = chunk.split(",")
         if not all(re.fullmatch(rf"\s*[+-]?{finite.LITERAL}\s*", x) for x in entries):
-            raise ValueError(f"cannot parse matrix row {finite.excerpt(chunk, start)}")
+            raise ValueError(f"cannot parse matrix row {excerpt(chunk, start)}")
         rows.append([int(x) for x in entries])
         start += len(chunk) + 1
     return rows  # smith_normal_form refuses a ragged one

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how refusals name input."""
 
 
 class AbelcheckError(Exception):
@@ -39,3 +39,12 @@ class ParseError(AbelcheckError):
         super().__init__(f"{message} (at position {position})")
         self.message = message
         self.position = position
+
+
+def excerpt(text: str, start: int = 0) -> str:
+    """How a refusal names ``text``, which starts at ``start`` in the input:
+    quoted when it has at most 40 characters, and otherwise by its length
+    and position, so that a refusal of a long input stays one short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"<{len(text)} characters at position {start}>"

@@ -49,7 +49,7 @@ from math import gcd, lcm, prod
 from typing import Collection, Iterable, Mapping
 
 from .arith import divisors, factorize, partitions
-from .errors import BoundExceeded, IllDefinedHom, InternalConsistencyError, NotASubgroup, NotCoprime
+from .errors import BoundExceeded, IllDefinedHom, InternalConsistencyError, NotASubgroup, NotCoprime, excerpt
 from .snf import diagonal, smith_normal_form
 
 DEFAULT_ORDER_BOUND = 512
@@ -60,15 +60,6 @@ DEFAULT_HOM_SPACE_CAP = 200_000
 LITERAL = "[0-9]{1,4300}"
 
 Element = tuple[int, ...]
-
-
-def excerpt(text: str, start: int = 0) -> str:
-    """How a refusal names ``text``, which starts at ``start`` in the input:
-    quoted when it has at most 40 characters, and otherwise by its length
-    and position, so that a refusal of a long input stays one short line."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"<{len(text)} characters at position {start}>"
 
 
 class FiniteAbelianGroup:
@@ -905,10 +896,10 @@ def localization_hom_image(m: FiniteAbelianGroup, a: Element, b: int, c: int) ->
     order(a) = p^n and y the inverse of c modulo p^n, the value is
     b*y*a, which lies in the cyclic subgroup generated by a.
     """
-    primes = {min(factorize(f)) for f in m.factors}
-    if len(primes) != 1:
+    components = m.primary_components()
+    if len(components) != 1:
         raise ValueError("a nontrivial p-group is required")
-    p = primes.pop()
+    p = components[0][0]
     m.validate_element(a)
     if gcd(c, p) != 1:
         raise NotCoprime(f"{c} is not coprime to {p}")

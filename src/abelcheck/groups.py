@@ -74,6 +74,12 @@ def check_multiplicity(m: Multiplicity) -> Multiplicity:
     raise ValueError(f"multiplicity must be a positive integer or OMEGA, got {m!r}")
 
 
+def check_exponent(n: int, what: str = "cyclic") -> int:
+    if type(n) is int and n >= 1:
+        return n
+    raise ValueError(f"{what} exponent must be >= 1, got {n!r}")
+
+
 def mult_to_json(m: Multiplicity):
     return "omega" if m is OMEGA else m
 
@@ -91,8 +97,7 @@ class CyclicAtom:
 
     def __post_init__(self):
         check_prime(self.p)
-        if not (type(self.n) is int and self.n >= 1):
-            raise ValueError(f"cyclic exponent must be >= 1, got {self.n!r}")
+        check_exponent(self.n)
 
 
 @dataclass(frozen=True)
@@ -129,8 +134,7 @@ class FixedExponent:
     exponent: int
 
     def __post_init__(self):
-        if not (type(self.exponent) is int and self.exponent >= 1):
-            raise ValueError(f"family exponent must be >= 1, got {self.exponent!r}")
+        check_exponent(self.exponent, "family")
 
 
 @dataclass(frozen=True)
@@ -205,17 +209,12 @@ class LocalShape:
     @staticmethod
     def make(cyclic: Mapping[int, Multiplicity] = {}, prufer: Multiplicity = 0,
              tower: Multiplicity = 0) -> "LocalShape":
-        for n, m in cyclic.items():
-            if m == 0:
-                continue
-            if not (type(n) is int and n >= 1):
-                raise ValueError(f"cyclic exponent must be >= 1, got {n!r}")
-            check_multiplicity(m)
-        if prufer != 0:
-            check_multiplicity(prufer)
-        if tower != 0:
-            check_multiplicity(tower)
-        return _sum_shapes([LocalShape(tuple((n, m) for n, m in cyclic.items() if m != 0), prufer, tower)])
+        def absent(m):  # only the int 0 marks an absent part
+            return type(m) is int and m == 0
+
+        layers = tuple((check_exponent(n), check_multiplicity(m)) for n, m in cyclic.items() if not absent(m))
+        prufer, tower = (m if absent(m) else check_multiplicity(m) for m in (prufer, tower))
+        return _sum_shapes([LocalShape(layers, prufer, tower)])
 
     @property
     def is_trivial(self) -> bool:
@@ -293,10 +292,10 @@ class CanonicalGroup:
     # -- part extractors -----------------------------------------------------
 
     def torsion_part(self) -> "CanonicalGroup":
-        return CanonicalGroup._build({}, self.generic, dict(self.exceptions))
+        return CanonicalGroup(generic=self.generic, exceptions=self.exceptions)
 
     def torsion_free_part(self) -> "CanonicalGroup":
-        return CanonicalGroup._build(dict(self.rationals), TRIVIAL_SHAPE, {})
+        return CanonicalGroup(self.rationals)
 
     def p_primary(self, p: int) -> "CanonicalGroup":
         shape = self.local_at(p)

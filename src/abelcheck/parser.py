@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .arith import is_prime
 from .characteristics import CHAR_Q, CHAR_Z, INF, Characteristic, height_to_text, localization_char
-from .errors import ParseError
+from .errors import ParseError, excerpt
 from .groups import (
     OMEGA,
     CanonicalGroup,
@@ -67,7 +67,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif ch in _SYMBOLS:
             kind = ch
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {excerpt(ch, i)}", i)
         out.append((kind, text[i:j], i))
         i = j
     out.append(("eof", "", n))
@@ -94,7 +94,7 @@ class _Parser:
         tok = self.accept(kind)
         if tok is None:
             _, text, pos = self.peek()
-            raise ParseError(f"expected {what or kind!r}, got {text or 'end of input'!r}", pos)
+            raise ParseError(f"expected {what or kind!r}, got {excerpt(text or 'end of input', pos)}", pos)
         return tok
 
     # -- grammar elements ---------------------------------------------------
@@ -136,10 +136,10 @@ class _Parser:
             return OMEGA
         raise ParseError("multiplicity must be an integer >= 1 or 'omega'", pos)
 
-    def bound_variable(self, var: str) -> None:
-        _, text, pos = self.expect("ident", f"the bound variable {var!r}")
+    def bound_variable(self, var: str, shown: str) -> None:
+        _, text, pos = self.expect("ident", f"the bound variable {shown}")
         if text != var:
-            raise ParseError(f"family template must use the bound variable {var!r}", pos)
+            raise ParseError(f"family template must use the bound variable {shown}", pos)
 
     # -- grammar ------------------------------------------------------------
 
@@ -154,7 +154,7 @@ class _Parser:
                 break
         kind, text, pos = self.peek()
         if kind != "eof":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
+            raise ParseError(f"unexpected trailing input {excerpt(text, pos)}", pos)
         return GroupDescriptor(parts)
 
     def atom(self):
@@ -163,9 +163,9 @@ class _Parser:
             if name == "0":
                 self.index += 1
                 return None
-            raise ParseError(f"unexpected number {name!r}; atoms start with Z, Q, R, tower or sum", pos)
+            raise ParseError(f"unexpected number {excerpt(name, pos)}; atoms start with Z, Q, R, tower or sum", pos)
         if kind != "ident":
-            raise ParseError(f"expected an atom, got {name or 'end of input'!r}", pos)
+            raise ParseError(f"expected an atom, got {excerpt(name or 'end of input', pos)}", pos)
         self.index += 1
         if name == "Z":
             if not self.accept("("):
@@ -191,7 +191,7 @@ class _Parser:
             return part
         if name == "sum":
             return self.family()
-        raise ParseError(f"unknown atom {name!r}", pos)
+        raise ParseError(f"unknown atom {excerpt(name, pos)}", pos)
 
     def chardesc(self) -> Characteristic:
         if self.accept("num", "0"):
@@ -212,14 +212,15 @@ class _Parser:
 
     def family(self) -> PrimeFamily:
         self.expect("{")
-        var = self.expect("ident", "a prime variable")[1]
+        _, var, var_pos = self.expect("ident", "a prime variable")
+        shown = excerpt(var, var_pos)  # where sum{...} names it
         self.expect("}")
         self.expect("[")
         _, name, pos = self.expect("ident", "'Z' or 'tower'")
         if name not in ("Z", "tower"):
             raise ParseError(f"family template must be Z({var}^...) or tower({var})", pos)
         self.expect("(")
-        self.bound_variable(var)
+        self.bound_variable(var, shown)
         if name == "tower":
             template = UnboundedTower()
         else:

@@ -1,6 +1,8 @@
 """Reference copy of the expression parser before its rewrite to tuple
 tokens and one helper per grammar element: its tokenizer and recursive
-descent, unchanged apart from absolute imports (rendering is left out).
+descent, unchanged apart from absolute imports (rendering is left out)
+and from how refusals name input text (``_quote``, restated here rather
+than imported, so that the comparison also checks each call site).
 ``test_parser.TestReferenceParser`` checks that ``abelcheck.parser.parse``
 builds an equal descriptor for every text this one accepts, and raises
 ParseError with the same message and position for every text it rejects.
@@ -27,6 +29,12 @@ from abelcheck.groups import (
 
 _SYMBOLS = set("+^(){}[]\\;:,_")
 _DIGITS = set("0123456789")  # str.isdigit admits unicode digits int() rejects
+
+
+def _quote(text: str, start: int) -> str:
+    """Refused text that starts at ``start``: quoted up to 40 characters,
+    otherwise named by its length and position."""
+    return repr(text) if len(text) <= 40 else f"<{len(text)} characters at position {start}>"
 
 
 class _Token:
@@ -67,7 +75,7 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token(ch, ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        raise ParseError(f"unexpected character {_quote(ch, i)}", i)
     out.append(_Token("eof", "", n))
     return out
 
@@ -89,7 +97,7 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {what or kind!r}, got {tok.text or 'end of input'!r}", tok.pos)
+            raise ParseError(f"expected {what or kind!r}, got {_quote(tok.text or 'end of input', tok.pos)}", tok.pos)
         return self.advance()
 
     def fail(self, message: str) -> ParseError:
@@ -104,7 +112,7 @@ class _Parser:
             parts.extend(self.parse_term())
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+            raise ParseError(f"unexpected trailing input {_quote(tok.text, tok.pos)}", tok.pos)
         return GroupDescriptor(parts)
 
     def parse_term(self):
@@ -143,9 +151,9 @@ class _Parser:
             if tok.text == "0":
                 self.advance()
                 return None
-            raise ParseError(f"unexpected number {tok.text!r}; atoms start with Z, Q, R, tower or sum", tok.pos)
+            raise ParseError(f"unexpected number {_quote(tok.text, tok.pos)}; atoms start with Z, Q, R, tower or sum", tok.pos)
         if tok.kind != "ident":
-            raise ParseError(f"expected an atom, got {tok.text or 'end of input'!r}", tok.pos)
+            raise ParseError(f"expected an atom, got {_quote(tok.text or 'end of input', tok.pos)}", tok.pos)
         name = tok.text
         if name == "Z":
             self.advance()
@@ -175,7 +183,7 @@ class _Parser:
             return TowerAtom(p)
         if name == "sum":
             return self._parse_family()
-        raise ParseError(f"unknown atom {name!r}", tok.pos)
+        raise ParseError(f"unknown atom {_quote(name, tok.pos)}", tok.pos)
 
     def _parse_cyclic_tail(self):
         self.expect("(")
@@ -237,10 +245,10 @@ class _Parser:
     def _parse_family(self):
         self.advance()  # "sum"
         self.expect("{")
-        var = self.expect("ident", "a prime variable").text
+        vtok = self.expect("ident", "a prime variable")
         self.expect("}")
         self.expect("[")
-        template, inner_mult = self._parse_template(var)
+        template, inner_mult = self._parse_template(vtok.text, _quote(vtok.text, vtok.pos))
         self.expect("]")
         excluded = []
         if self.peek().kind == "\\":
@@ -255,14 +263,14 @@ class _Parser:
             self.expect("}")
         return PrimeFamily(template, inner_mult, excluded)
 
-    def _parse_template(self, var: str):
+    def _parse_template(self, var: str, shown: str):
         tok = self.expect("ident", "'Z' or 'tower'")
         template = None
         if tok.text == "Z":
             self.expect("(")
-            vtok = self.expect("ident", f"the bound variable {var!r}")
+            vtok = self.expect("ident", f"the bound variable {shown}")
             if vtok.text != var:
-                raise ParseError(f"family template must use the bound variable {var!r}", vtok.pos)
+                raise ParseError(f"family template must use the bound variable {shown}", vtok.pos)
             self.expect("^")
             etok = self.peek()
             if etok.kind == "ident" and etok.text == "inf":
@@ -277,9 +285,9 @@ class _Parser:
             self.expect(")")
         elif tok.text == "tower":
             self.expect("(")
-            vtok = self.expect("ident", f"the bound variable {var!r}")
+            vtok = self.expect("ident", f"the bound variable {shown}")
             if vtok.text != var:
-                raise ParseError(f"family template must use the bound variable {var!r}", vtok.pos)
+                raise ParseError(f"family template must use the bound variable {shown}", vtok.pos)
             self.expect(")")
             template = UnboundedTower()
         else:

@@ -125,6 +125,23 @@ def test_long_input_is_refused_in_one_short_line(capsys, argv):
     assert len(err.encode()) < 120, err[:200]
 
 
+@pytest.mark.parametrize("expression, start", [
+    ("Z" + "a" * 5000, 0),
+    ("Z " + "a" * 5000, 2),
+    ("Z(" + "a" * 5000 + ")", 2),
+    ("sum{" + "p" * 5000 + "}[Z(p^1)]", 4),
+], ids=["unknown-atom", "trailing-input", "expected-got", "bound-variable"])
+def test_long_expression_is_refused_in_one_short_line(capsys, expression, start):
+    # The expression parser names long text as the oracle's readers do,
+    # at the position where the text starts: a bound variable where
+    # sum{...} names it, not where the template fails to match it.
+    code, out, err = run(capsys, "analyze", expression)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 120, err[:200]
+    assert f" characters at position {start}>" in err, err
+
+
 def test_console_script_is_main():
     # setuptools' script wrapper passes main's return value to sys.exit.
     lines = (SRC.parent / "pyproject.toml").read_text().splitlines()

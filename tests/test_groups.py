@@ -270,6 +270,14 @@ class TestLocalShape:
         with pytest.raises(ValueError):
             LocalShape.make({True: 1})
 
+    def test_make_takes_only_the_int_zero_as_absent(self):
+        # A float or bool zero is a bad multiplicity, not an absent part:
+        # make() refuses it rather than keep it in the shape.
+        for cyclic, prufer, tower in [({1: 2}, 0.0, 0), ({}, 0, False), ({1: 0.0}, 0, 0)]:
+            with pytest.raises(ValueError):
+                LocalShape.make(cyclic, prufer, tower)
+        assert LocalShape.make({1: 0}).is_trivial and LocalShape.make({0: 0}).is_trivial
+
     def test_flags(self):
         assert LocalShape.make({1: 1}).is_semisimple
         assert not LocalShape.make({2: 1}).is_semisimple

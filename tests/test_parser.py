@@ -88,6 +88,8 @@ REJECTED = [
     "", "+", "Z(", "Z(4", "Z)", "Z(2^)", "Z(2^0)", "Z^0", "Z^", "W",
     "sum{p}[Z(q^1)]", "sum{p}", "sum{p}[Q]", "tower(4)", "Q_(9)", "R(2)",
     "R(0;4:1)", "Z + ", "Z Z", "Z(2^inf", "1", "Z(2)^-1", "tower(2)^~",
+    # refusals name text over 40 characters by its length and position
+    "Z" + "a" * 5000, "Z " + "a" * 5000, "Z(" + "a" * 5000 + ")", "sum{" + "p" * 5000 + "}[Z(p^1)]",
 ]
 FUZZ_ALPHABET = "ZQRtowersum{}[]()^+\\;:,_ 0123456789inf\x00\xff目"
 

@@ -140,9 +140,12 @@ def test_each_input_rule_is_stated_once():
     # ``arith`` and the parser (whose refusals carry a position) read
     # ``is_prime``; the symbolic half tests integers by ``type(x) is int``,
     # and only ``snf`` (which takes int subclasses other than bool) tests
-    # for bool by ``isinstance``.
+    # for bool by ``isinstance``.  Both halves name refused text through
+    # ``errors.excerpt``, and ``groups`` refuses exponents only in
+    # ``check_exponent``.
     found = []
     for path in sorted(SOURCE.glob("*.py")):
+        exponent_raises = []
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and path.stem not in ("arith", "parser"):
                 if any(alias.name == "is_prime" for alias in node.names):
@@ -151,6 +154,12 @@ def test_each_input_rule_is_stated_once():
                   and ast.unparse(node.func) == "isinstance" and len(node.args) == 2
                   and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
                 found.append(f"{path.stem}:{node.lineno} calls isinstance(..., bool)")
+            elif isinstance(node, ast.FunctionDef) and node.name == "excerpt" and path.stem != "errors":
+                found.append(f"{path.stem}:{node.lineno} defines excerpt")
+            elif isinstance(node, ast.Raise) and "exponent must be" in ast.unparse(node):
+                exponent_raises.append(f"{path.stem}:{node.lineno}")
+        if path.stem == "groups" and len(exponent_raises) > 1:
+            found.append("exponent refusals at " + ", ".join(exponent_raises))
     assert not found, "input rules stated twice: " + ", ".join(found)
 
 

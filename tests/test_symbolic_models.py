@@ -7,7 +7,8 @@
   above every cyclic exponent, so ``==`` on canonical forms must agree
   with them.
 * Every small local shape's poor row against the finite oracle, through
-  criterion 2's truncation.
+  criterion 2's truncation, and the converse of the first check on the
+  same shapes: distinct canonical shapes differ in some invariant.
 """
 
 import itertools
@@ -134,3 +135,14 @@ def test_every_small_shape_poor_row_matches_the_oracle():
             assert row.passed == (not is_relatively_injective(local, FiniteAbelianGroup([p**2]))), (p, shape)
             rows += 1
     assert rows == 1158
+
+
+def test_distinct_small_shapes_differ_in_some_invariant():
+    # The converse of the model check: no two distinct canonical shapes
+    # have the same invariants at every height <= HEIGHT (above every
+    # exponent here) and the same Prufer rank, so they are not isomorphic.
+    # A shape that keeps cyclic layers beside an omega tower would repeat
+    # the invariants of the tower alone.
+    shapes = _small_shapes()
+    signatures = {tuple(_canonical_invariants(shape).values()) for shape in shapes}
+    assert len(signatures) == len(shapes), (len(signatures), len(shapes))
